@@ -123,7 +123,6 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
   exec::CampaignEngine engine(
       measure::WorldView{world.topology(), world.registry()},
       world.research_apex(), std::move(carriers), config);
-  world.topology().set_route_cache_ways(engine.shard_count() + 1);
 
   std::vector<std::unique_ptr<DiscardSink>> sinks;
   std::vector<measure::RecordSink*> sink_ptrs;

@@ -103,8 +103,7 @@ void BM_Haversine(benchmark::State& state) {
 BENCHMARK(BM_Haversine);
 
 /// A mid-sized world: full-mesh backbone of 30 metros plus 200 leaves.
-net::Topology make_topology() {
-  net::Topology topo;
+void build_topology(net::Topology& topo) {
   std::vector<net::NodeId> backbone;
   for (const auto& metro : net::world_metros()) {
     net::Node node;
@@ -131,24 +130,25 @@ net::Topology make_topology() {
                   net::LatencyModel::jittered(1.0, 0.3));
     (void)rng;
   }
-  return topo;
 }
 
-void BM_RouteColdCache(benchmark::State& state) {
-  net::Topology topo = make_topology();
-  uint32_t from = 30;  // first leaf node id
+void BM_RouteWarmTree(benchmark::State& state) {
+  net::Topology topo;
+  build_topology(topo);
+  const uint32_t from = 30;  // first leaf node id
   uint32_t to = 31;
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.route(from, to));
-    // Rotate pairs so most lookups miss the route cache.
-    from = 30 + (from + 7) % 200;
+    // Rotating targets under a fixed source all read the one shortest-path
+    // tree built on the first call, so this times the walk off a warm tree.
     to = 30 + (to + 13) % 200;
   }
 }
-BENCHMARK(BM_RouteColdCache);
+BENCHMARK(BM_RouteWarmTree);
 
 void BM_TransportRtt(benchmark::State& state) {
-  net::Topology topo = make_topology();
+  net::Topology topo;
+  build_topology(topo);
   auto rng = bench::bench_rng("micro_net/transport-rtt");
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.transport_rtt_ms(30, 150, rng));
@@ -157,7 +157,8 @@ void BM_TransportRtt(benchmark::State& state) {
 BENCHMARK(BM_TransportRtt);
 
 void BM_Ping(benchmark::State& state) {
-  net::Topology topo = make_topology();
+  net::Topology topo;
+  build_topology(topo);
   auto rng = bench::bench_rng("micro_net/ping");
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.ping(30, 150, rng));
@@ -166,7 +167,8 @@ void BM_Ping(benchmark::State& state) {
 BENCHMARK(BM_Ping);
 
 void BM_Traceroute(benchmark::State& state) {
-  net::Topology topo = make_topology();
+  net::Topology topo;
+  build_topology(topo);
   auto rng = bench::bench_rng("micro_net/traceroute");
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.traceroute(30, 150, rng));

@@ -15,7 +15,9 @@
 #             World — including the 16-cohort × 16-worker stress case
 #             (96 shards, more cohorts than any carrier has devices) that
 #             exercises the laned-state partitioning under maximum
-#             interleaving.
+#             interleaving — plus RouteTreeConcurrency, where eight
+#             threads race to build and publish the same topology
+#             shortest-path trees.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -66,10 +68,12 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress)"
+  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress) + route-tree first touch"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target shard_determinism_test
-  ctest --test-dir build-tsan --output-on-failure -R ShardDeterminism
+  cmake --build build-tsan -j "$JOBS" \
+    --target shard_determinism_test net_extra_test
+  ctest --test-dir build-tsan --output-on-failure \
+    -R 'ShardDeterminism|RouteTreeConcurrency'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

@@ -4,7 +4,7 @@
 
 #include "dns/message.h"
 #include "net/geo.h"
-#include "net/shard_slot.h"
+#include "net/state_lane.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/index.h"

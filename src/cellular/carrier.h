@@ -19,7 +19,7 @@
 #include "dns/server.h"
 #include "net/ip_allocator.h"
 #include "net/ipv4.h"
-#include "net/shard_slot.h"
+#include "net/state_lane.h"
 #include "net/topology.h"
 #include "obs/memory.h"
 
@@ -37,7 +37,7 @@ class CellularNetwork;
 /// al.), so a fraction of queries lands on a machine whose cache has not
 /// seen the name — the residual miss tail of Fig. 7.
 ///
-/// Caches are partitioned by state lane (net/shard_slot.h): each enrolled
+/// Caches are partitioned by state lane (net/state_lane.h): each enrolled
 /// device sees its own copy of every instance cache, so cohorts of the
 /// same carrier never contend and a device's cache-hit pattern is
 /// independent of the cohort partition. Population-level warmth is the
@@ -86,7 +86,7 @@ struct CarrierBuildContext {
   std::function<bool(const dns::DnsName&)> warm_eligible;
   /// State lanes carrier-private mutable state (NAT cursors, resolver
   /// caches) is partitioned into: one per enrolled device fleet-wide plus
-  /// one for the main thread (net/shard_slot.h); 1 = unlaned.
+  /// one for the main thread (net/state_lane.h); 1 = unlaned.
   int state_lanes = 1;
   uint64_t build_seed = 0;
 };

@@ -81,11 +81,6 @@ Study::Study(Scenario scenario)
   engine_ = std::make_unique<exec::CampaignEngine>(
       measure::WorldView{world_->topology(), world_->registry()},
       world_->research_apex(), std::move(carriers), engine_config);
-  // The route cache is keyed by shard slot; give every shard its own way
-  // (slot 0 stays reserved for the main thread). Routes are
-  // deterministic, so this cache is result-invisible and may key off the
-  // partition-dependent slot.
-  world_->topology().set_route_cache_ways(engine_->shard_count() + 1);
 }
 
 Study::~Study() {
@@ -177,8 +172,7 @@ void Study::run() {
     for (const std::string& label : report_.profile.stalled_labels()) {
       CURTAIN_WARN() << "stall watchdog: shard " << label << " exceeded "
                      << report_.profile.stall_factor
-                     << "x the median shard wall ("
-                     << report_.profile.median_shard_wall_ms << " ms)";
+                     << "x the median shard wall per device";
     }
     if (!obs::write_chrome_trace(scenario_.profile_out, dump)) {
       CURTAIN_WARN() << "failed to write chrome trace to "

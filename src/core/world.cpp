@@ -26,7 +26,7 @@ std::string metro_country(const std::string& metro_name) {
 }
 
 /// Result-visible mutable state is keyed by global device state lanes
-/// (net/shard_slot.h): one lane per enrolled device across every carrier,
+/// (net/state_lane.h): one lane per enrolled device across every carrier,
 /// plus lane 0 for the main thread. The lane count depends only on the
 /// carrier table — never on cohort or worker counts.
 int state_lane_count(const Scenario& config) {
@@ -52,11 +52,8 @@ World::World(Scenario config)
   build_public_dns();
   build_carriers();
   register_cdn_hints();
-  // The route cache stays at its single-way default here: the cache is
-  // keyed by shard slot, and only the campaign engine knows how many
-  // shards the cohort partition produces. Study widens it to
-  // shard_count + 1 ways after building the engine (slot 0 stays
-  // reserved for the main thread).
+  // No routes are computed here: a source's shortest-path tree is built
+  // on its first query and then shared by every worker.
 }
 
 World::~World() = default;

@@ -16,7 +16,7 @@
 #include "dns/cache.h"
 #include "dns/message.h"
 #include "dns/server.h"
-#include "net/shard_slot.h"
+#include "net/state_lane.h"
 #include "obs/memory.h"
 
 namespace curtain::dns {
@@ -71,7 +71,7 @@ class RecursiveResolver : public DnsServer {
 
   /// Partitions the resolver's mutable state (cache, query-id counter,
   /// warm-hit guard) into `lanes` independent copies indexed by the
-  /// calling thread's state lane (net/shard_slot.h) — one lane per
+  /// calling thread's state lane (net/state_lane.h) — one lane per
   /// enrolled device plus lane 0 for the main thread. Laning makes every
   /// device's view of the resolver independent of which cohort shard runs
   /// it, which keeps campaign exports byte-identical across cohort and

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "net/shard_slot.h"
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "util/contract.h"
@@ -60,7 +59,6 @@ CampaignEngine::CampaignEngine(measure::WorldView world,
   // carriers in carrier-table order and never depend on the cohort count,
   // so a device keeps the same lane — and therefore the same laned state —
   // under every partition.
-  int shard_index = 0;
   int lane_base = 1;
   for (const CarrierRef& carrier : carriers) {
     fleets_.push_back(
@@ -82,9 +80,8 @@ CampaignEngine::CampaignEngine(measure::WorldView world,
                                             lane_base + static_cast<int>(d)});
       }
       shards_.push_back(std::make_unique<Shard>(
-          shard_index++, carrier.carrier_index, k, carrier.network, world,
-          research_apex, config_.campaign, config_.experiment, config_.seed,
-          std::move(slice)));
+          carrier.carrier_index, k, carrier.network, world, research_apex,
+          config_.campaign, config_.experiment, config_.seed, std::move(slice)));
     }
     CURTAIN_CHECK(fleet_size <= static_cast<size_t>(
                                     std::numeric_limits<int>::max() - lane_base))
@@ -108,13 +105,6 @@ size_t CampaignEngine::fleet_arena_bytes() const {
 }
 
 void CampaignEngine::run_pool() {
-  // A shard slot that exceeds the route cache's way count would silently
-  // fall back to way 0 and race the main thread; the study wires the
-  // ways after construction, so verify the contract here.
-  CURTAIN_CHECK(world_.topology.route_cache_ways() > shards_.size())
-      << "route cache has " << world_.topology.route_cache_ways()
-      << " ways for " << shards_.size() << " shards";
-
   stats_.assign(shards_.size(), ShardStat{});
   for (size_t i = 0; i < shards_.size(); ++i) {
     stats_[i].label = shards_[i]->label();
@@ -127,7 +117,7 @@ void CampaignEngine::run_pool() {
   // shard index from an atomic cursor, so shards start in index order no
   // matter which worker frees up first. Which worker runs which shard
   // varies run to run — that's fine, because nothing result-visible is
-  // keyed by the worker or the shard slot.
+  // keyed by the worker or the shard.
   const size_t pool = std::min(static_cast<size_t>(config_.workers),
                                shards_.size() == 0 ? size_t{1}
                                                    : shards_.size());
@@ -161,7 +151,6 @@ void CampaignEngine::run_pool() {
       const int64_t pickup_us = profiling ? recorder.now_us() : 0;
       const auto started = std::chrono::steady_clock::now();  // lint: wallclock
       {
-        net::ShardSlotGuard slot(shard.shard_index() + 1);
         obs::ScopedMetricsSheaf sheaf(shard.sheaf());
         shard.run();
       }

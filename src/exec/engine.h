@@ -11,7 +11,7 @@
 //
 // Determinism: every result-affecting draw comes from a per-device stream
 // keyed by (seed, device id) alone; every piece of result-visible mutable
-// state is keyed by the device's global state lane (net/shard_slot.h),
+// state is keyed by the device's global state lane (net/state_lane.h),
 // which depends only on the fleet — never on cohort or worker counts.
 // Fleets are built once per carrier (as SoA arenas the engine owns) and
 // sliced into device handles, so the devices themselves are
@@ -94,8 +94,6 @@ class CampaignEngine {
   size_t device_count() const;
 
   /// Shards in the partition (carriers × resolved cohorts-per-carrier).
-  /// The topology's route cache must keep more ways than this before
-  /// run() — see net::Topology::set_route_cache_ways.
   size_t shard_count() const { return shards_.size(); }
 
   /// Cohorts per carrier after resolving the auto (0) setting.

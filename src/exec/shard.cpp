@@ -2,7 +2,7 @@
 #include "exec/shard.h"
 
 #include "net/clock.h"
-#include "net/shard_slot.h"
+#include "net/state_lane.h"
 
 namespace curtain::exec {
 namespace {
@@ -23,14 +23,13 @@ ShardMetrics& shard_metrics() {
 
 }  // namespace
 
-Shard::Shard(int shard_index, int carrier_index, int cohort_index,
+Shard::Shard(int carrier_index, int cohort_index,
              cellular::CellularNetwork& network, measure::WorldView world,
              const dns::DnsName& research_apex,
              measure::CampaignConfig campaign,
              measure::ExperimentConfig experiment, uint64_t seed,
              std::vector<CohortDevice> devices)
-    : shard_index_(shard_index),
-      carrier_index_(carrier_index),
+    : carrier_index_(carrier_index),
       cohort_index_(cohort_index),
       label_(network.profile().name + "/cohort" + std::to_string(cohort_index)),
       campaign_(campaign),

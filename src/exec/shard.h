@@ -1,7 +1,7 @@
 // Shard: one (carrier, cohort) slice of the campaign.
 //
 // The campaign is embarrassingly parallel per *device*: a device only
-// ever touches its own laned state (net/shard_slot.h) plus the immutable
+// ever touches its own laned state (net/state_lane.h) plus the immutable
 // world substrate, so the fleet can be partitioned into any number of
 // cohorts per carrier. A shard owns everything mutable its slice of
 // devices touches during the run:
@@ -45,19 +45,18 @@ namespace curtain::exec {
 class Shard {
  public:
   /// One enrolled device plus the global state lane its timeline runs in
-  /// (lane = fleet-wide enrollment ordinal + 1; see net/shard_slot.h).
+  /// (lane = fleet-wide enrollment ordinal + 1; see net/state_lane.h).
   struct CohortDevice {
     cellular::Device device;
     int state_lane = 0;
   };
 
-  Shard(int shard_index, int carrier_index, int cohort_index,
+  Shard(int carrier_index, int cohort_index,
         cellular::CellularNetwork& network, measure::WorldView world,
         const dns::DnsName& research_apex, measure::CampaignConfig campaign,
         measure::ExperimentConfig experiment, uint64_t seed,
         std::vector<CohortDevice> devices);
 
-  int shard_index() const { return shard_index_; }
   int carrier_index() const { return carrier_index_; }
   int cohort_index() const { return cohort_index_; }
   size_t device_count() const { return devices_.size(); }
@@ -78,13 +77,11 @@ class Shard {
   size_t approx_record_bytes() const;
 
   /// Runs the shard's whole campaign into its private record store. Must
-  /// run with the shard slot (net::ShardSlotGuard) and the sheaf
-  /// (obs::ScopedMetricsSheaf) bound; binds each device's state lane
-  /// itself.
+  /// run with the sheaf (obs::ScopedMetricsSheaf) bound; binds each
+  /// device's state lane itself.
   void run();
 
  private:
-  int shard_index_;
   int carrier_index_;
   int cohort_index_;
   std::string label_;

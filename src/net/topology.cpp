@@ -1,25 +1,59 @@
 #include "net/topology.h"
 
-#include <algorithm>
+#include <array>
 #include <limits>
+#include <memory>
 #include <queue>
+#include <utility>
 
-#include "net/shard_slot.h"
 #include "obs/metrics.h"
 
 namespace curtain::net {
-namespace {
 
-uint64_t route_key(NodeId from, NodeId to) {
-  return (static_cast<uint64_t>(from) << 32) | to;
-}
+/// The route from -> to, walked off `from`'s tree (to -> from) into an
+/// inline buffer and read back in forward order: hop i is the i-th node
+/// after `from`, entered over link(i).
+class Topology::Hops {
+ public:
+  Hops(const Topology& topo, NodeId from, NodeId to)
+      : links_(topo.links_), parent_link_(topo.route_tree(from).parent_link) {
+    for (NodeId at = to; at != from;) {
+      const uint32_t link = parent_link_[at];
+      if (link == RouteTree::kNoLink) {
+        reachable_ = false;
+        return;
+      }
+      if (size_ < kInline) inline_[size_] = at;
+      else spill_.push_back(at);
+      ++size_;
+      at = links_[link].a == at ? links_[link].b : links_[link].a;
+    }
+  }
 
-}  // namespace
+  bool reachable() const { return reachable_; }
+  size_t size() const { return size_; }
+  NodeId operator[](size_t i) const {
+    const size_t k = size_ - 1 - i;  // stored to -> from
+    return k < kInline ? inline_[k] : spill_[k - kInline];
+  }
+  const Link& link(size_t i) const { return links_[parent_link_[(*this)[i]]]; }
+
+ private:
+  static constexpr size_t kInline = 32;  // paper_2014 routes: <= 8 hops
+  const std::vector<Link>& links_;
+  const std::vector<uint32_t>& parent_link_;
+  std::array<NodeId, kInline> inline_{};
+  std::vector<NodeId> spill_;
+  size_t size_ = 0;
+  bool reachable_ = true;
+};
 
 Topology::Topology() {
   // Zone 0 is always the open Internet.
   zones_.push_back(Zone{"internet", /*blocks_inbound_probes=*/false});
 }
+
+Topology::~Topology() { drop_route_trees(); }
 
 ZoneId Topology::add_zone(std::string name, bool blocks_inbound_probes) {
   zones_.push_back(Zone{std::move(name), blocks_inbound_probes});
@@ -32,7 +66,8 @@ NodeId Topology::add_node(Node node) {
   if (!node.ip.is_unspecified()) ip_index_[node.ip.value()] = id;
   nodes_.push_back(std::move(node));
   adjacency_.emplace_back();
-  for (auto& cache : route_caches_) cache.clear();
+  drop_route_trees();
+  route_trees_.emplace_back(nullptr);
   return id;
 }
 
@@ -42,11 +77,15 @@ void Topology::add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
   links_.push_back(Link{a, b, latency, loss, tunneled});
   adjacency_[a].push_back(Edge{b, index});
   adjacency_[b].push_back(Edge{a, index});
-  for (auto& cache : route_caches_) cache.clear();
+  drop_route_trees();
 }
 
-void Topology::set_route_cache_ways(size_t ways) {
-  route_caches_.assign(ways == 0 ? 1 : ways, {});
+void Topology::drop_route_trees() {
+  RouteTree* tree = built_trees_.exchange(nullptr, std::memory_order_relaxed);
+  while (tree != nullptr) {
+    route_trees_[tree->source].store(nullptr, std::memory_order_relaxed);
+    delete std::exchange(tree, tree->next_built);
+  }
 }
 
 NodeId Topology::find_by_ip(Ipv4Addr ip) const {
@@ -54,16 +93,14 @@ NodeId Topology::find_by_ip(Ipv4Addr ip) const {
   return it == ip_index_.end() ? kInvalidNode : it->second;
 }
 
-const std::vector<NodeId>& Topology::route(NodeId from, NodeId to) const {
-  const auto slot = static_cast<size_t>(current_shard_slot());
-  auto& route_cache = route_caches_[slot < route_caches_.size() ? slot : 0];
-  const uint64_t key = route_key(from, to);
-  const auto cached = route_cache.find(key);
-  if (cached != route_cache.end()) return cached->second;
+const Topology::RouteTree& Topology::route_tree(NodeId from) const {
+  std::atomic<const RouteTree*>& slot = route_trees_[from];
+  const RouteTree* published = slot.load(std::memory_order_acquire);
+  if (published != nullptr) return *published;
 
-  // Dijkstra over typical link latency from `from`; we cache only the
-  // requested pair (worlds have few distinct probe sources, many targets,
-  // and recomputation is cheap relative to campaign length).
+  // Full Dijkstra over typical link latency: strict-< relaxation, edges in
+  // adjacency order. A node's prev is final once it is popped, so every
+  // route read off this tree equals an early-exit search for its target.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dist(nodes_.size(), kInf);
   std::vector<NodeId> prev(nodes_.size(), kInvalidNode);
@@ -75,7 +112,6 @@ const std::vector<NodeId>& Topology::route(NodeId from, NodeId to) const {
     const auto [d, u] = heap.top();
     heap.pop();
     if (d > dist[u]) continue;
-    if (u == to) break;
     for (const Edge& edge : adjacency_[u]) {
       const double nd = d + links_[edge.link_index].latency.typical_ms();
       if (nd < dist[edge.peer]) {
@@ -85,31 +121,40 @@ const std::vector<NodeId>& Topology::route(NodeId from, NodeId to) const {
       }
     }
   }
-
-  std::vector<NodeId> path;
-  if (dist[to] != kInf) {
-    for (NodeId at = to; at != kInvalidNode; at = prev[at]) {
-      path.push_back(at);
-      if (at == from) break;
+  auto tree = std::make_unique<RouteTree>();
+  tree->source = from;
+  tree->parent_link.assign(nodes_.size(), RouteTree::kNoLink);
+  // Between a node and its parent, take the first minimum-latency link in
+  // the parent's adjacency order (parallel links exist).
+  for (NodeId u = 0; u < nodes_.size(); ++u) {
+    for (const Edge& edge : adjacency_[u]) {
+      uint32_t& chosen = tree->parent_link[edge.peer];
+      if (prev[edge.peer] == u &&
+          (chosen == RouteTree::kNoLink ||
+           links_[edge.link_index].latency.typical_ms() <
+               links_[chosen].latency.typical_ms())) {
+        chosen = edge.link_index;
+      }
     }
-    std::reverse(path.begin(), path.end());
-    if (path.empty() || path.front() != from) path.clear();
   }
-  return route_cache.emplace(key, std::move(path)).first->second;
+
+  if (!slot.compare_exchange_strong(published, tree.get(),
+                                    std::memory_order_acq_rel)) {
+    return *published;  // another thread won; its tree is identical
+  }
+  tree->next_built = built_trees_.load(std::memory_order_relaxed);
+  while (!built_trees_.compare_exchange_weak(tree->next_built, tree.get(),
+                                             std::memory_order_release)) {
+  }
+  return *tree.release();
 }
 
-const Link& Topology::link_between(NodeId a, NodeId b) const {
-  // Route hops are adjacent by construction; pick the lowest-latency
-  // parallel link if several exist.
-  const Link* best = nullptr;
-  for (const Edge& edge : adjacency_[a]) {
-    if (edge.peer != b) continue;
-    const Link& link = links_[edge.link_index];
-    if (best == nullptr || link.latency.typical_ms() < best->latency.typical_ms()) {
-      best = &link;
-    }
-  }
-  return *best;  // precondition: a and b are adjacent
+std::vector<NodeId> Topology::route(NodeId from, NodeId to) const {
+  const Hops hops(*this, from, to);
+  if (!hops.reachable()) return {};
+  std::vector<NodeId> path{from};
+  for (size_t i = 0; i < hops.size(); ++i) path.push_back(hops[i]);
+  return path;
 }
 
 bool Topology::probe_blocked_at(ZoneId origin_zone, NodeId target) const {
@@ -119,11 +164,11 @@ bool Topology::probe_blocked_at(ZoneId origin_zone, NodeId target) const {
 
 std::optional<double> Topology::transport_rtt_ms(NodeId from, NodeId to,
                                                  Rng& rng) const {
-  const auto& path = route(from, to);
-  if (path.empty()) return std::nullopt;
+  const Hops hops(*this, from, to);
+  if (!hops.reachable()) return std::nullopt;
   double rtt = nodes_[to].processing.sample(rng);
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const Link& link = link_between(path[i], path[i + 1]);
+  for (size_t i = 0; i < hops.size(); ++i) {
+    const Link& link = hops.link(i);
     rtt += link.latency.sample(rng) + link.latency.sample(rng);
   }
   return rtt;
@@ -146,8 +191,8 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   auto& [pings, firewalled, unresponsive] = ping_metrics.get();
   pings.inc();
   PingResult result;
-  const auto& path = route(from, to);
-  if (path.empty()) {
+  const Hops hops(*this, from, to);
+  if (!hops.reachable()) {
     result.failure = PingResult::Failure::kNoRoute;
     return result;
   }
@@ -158,14 +203,14 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   }
   const ZoneId origin_zone = nodes_[from].zone;
   double rtt = nodes_[to].processing.sample(rng);
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId next = path[i + 1];
+  for (size_t i = 0; i < hops.size(); ++i) {
+    const NodeId next = hops[i];
     if (probe_blocked_at(origin_zone, next)) {
       result.failure = PingResult::Failure::kFirewalled;
       firewalled.inc();
       return result;
     }
-    const Link& link = link_between(path[i], next);
+    const Link& link = hops.link(i);
     if (rng.bernoulli(link.loss) || rng.bernoulli(link.loss)) {
       result.failure = PingResult::Failure::kLoss;
       return result;
@@ -179,18 +224,18 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
 
 TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
   TracerouteResult result;
-  const auto& path = route(from, to);
-  if (path.empty()) return result;
+  const Hops hops(*this, from, to);
+  if (!hops.reachable()) return result;
   const ZoneId origin_zone = nodes_[from].zone;
 
   double cumulative_one_way = 0.0;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId hop = path[i + 1];
+  for (size_t i = 0; i < hops.size(); ++i) {
+    const NodeId hop = hops[i];
     if (probe_blocked_at(origin_zone, hop)) {
       // Firewalled ingress: probes die silently beyond this point (§4.4).
       return result;
     }
-    const Link& link = link_between(path[i], hop);
+    const Link& link = hops.link(i);
     cumulative_one_way += link.latency.sample(rng);
     const bool is_destination = (hop == to);
     const Node& hop_node = nodes_[hop];
@@ -221,15 +266,6 @@ TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
     if (is_destination) result.reached_destination = entry.responded;
   }
   return result;
-}
-
-NodeId Topology::zone_boundary(NodeId from, NodeId to) const {
-  const auto& path = route(from, to);
-  const ZoneId target_zone = nodes_[to].zone;
-  for (const NodeId hop : path) {
-    if (nodes_[hop].zone == target_zone) return hop;
-  }
-  return kInvalidNode;
 }
 
 }  // namespace curtain::net

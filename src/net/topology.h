@@ -12,7 +12,9 @@
 //   * geography-driven latency, so replica choice shows up as TTFB.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -99,9 +101,14 @@ struct TracerouteResult {
 ///
 /// Mutation (add_*) happens during world construction; measurement runs
 /// treat the topology as immutable and thread randomness through `Rng&`.
+/// Routes come from one shortest-path tree per source, built on first use
+/// and shared read-only by every thread; mutation drops them.
 class Topology {
  public:
   Topology();
+  ~Topology();
+  Topology(const Topology&) = delete;
+  Topology& operator=(const Topology&) = delete;
 
   ZoneId add_zone(std::string name, bool blocks_inbound_probes);
   NodeId add_node(Node node);  ///< node.id is assigned by the topology
@@ -120,19 +127,8 @@ class Topology {
   NodeId find_by_ip(Ipv4Addr ip) const;
 
   /// Shortest path by typical latency, inclusive of both endpoints; empty
-  /// if unreachable. Cached; cache resets on mutation.
-  const std::vector<NodeId>& route(NodeId from, NodeId to) const;
-
-  /// Partitions the route cache into `ways` independent maps indexed by
-  /// the calling thread's shard slot, so concurrent shards fill disjoint
-  /// caches instead of racing on one. Routes are deterministic, so the
-  /// partitioning never changes results — which is exactly why the route
-  /// cache may key off the (cohort-count-dependent) shard slot while
-  /// result-visible state must use state lanes (net/shard_slot.h). Call
-  /// before campaign threads start with ways > the shard count — the
-  /// engine checks — and resets cached routes.
-  void set_route_cache_ways(size_t ways);
-  size_t route_cache_ways() const { return route_caches_.size(); }
+  /// if unreachable. Read off `from`'s shortest-path tree.
+  std::vector<NodeId> route(NodeId from, NodeId to) const;
 
   /// Round-trip time as measured by a transport exchange (no firewall or
   /// responsiveness checks — used for protocol traffic like DNS, which is
@@ -145,18 +141,28 @@ class Topology {
   /// TTL-walking traceroute with tunnel hiding and firewall truncation.
   TracerouteResult traceroute(NodeId from, NodeId to, Rng& rng) const;
 
-  /// First node of the destination zone along the route from `from` to
-  /// `to`, i.e. the ingress/egress boundary. kInvalidNode if none.
-  NodeId zone_boundary(NodeId from, NodeId to) const;
-
  private:
+  /// Read-only graph access for the reference router in the tests.
+  friend struct TopologyPeer;
+
   struct Edge {
     NodeId peer;
     uint32_t link_index;
   };
 
-  /// Index of the link traversed between adjacent route nodes.
-  const Link& link_between(NodeId a, NodeId b) const;
+  /// One source's shortest-path tree: per node, the link to its parent
+  /// (kNoLink at the source and unreachable nodes), fixed once published.
+  struct RouteTree {
+    static constexpr uint32_t kNoLink = UINT32_MAX;
+    NodeId source = kInvalidNode;
+    RouteTree* next_built = nullptr;  ///< built_trees_ list link
+    std::vector<uint32_t> parent_link;
+  };
+  class Hops;
+
+  /// `from`'s tree, built and published on first use.
+  const RouteTree& route_tree(NodeId from) const;
+  void drop_route_trees();  ///< build time only
   /// True if a probe from `origin_zone` is dropped when entering `target`.
   bool probe_blocked_at(ZoneId origin_zone, NodeId target) const;
 
@@ -165,10 +171,12 @@ class Topology {
   std::vector<Link> links_;
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
-  /// One route cache per shard slot (see net/shard_slot.h); size 1 until
-  /// set_route_cache_ways() widens it for a sharded campaign.
-  mutable std::vector<std::unordered_map<uint64_t, std::vector<NodeId>>>
-      route_caches_{1};
+  /// Per-source slots, null until the first query publishes the tree
+  /// (release CAS); a deque, so add_node grows it amortised.
+  mutable std::deque<std::atomic<const RouteTree*>> route_trees_;
+  /// Every published tree (via next_built): mutation drops them in
+  /// O(trees built).
+  mutable std::atomic<RouteTree*> built_trees_{nullptr};
 };
 
 }  // namespace curtain::net

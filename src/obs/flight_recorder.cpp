@@ -188,12 +188,21 @@ RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
   profile.queue_wait_p95_ms = percentile(waits_ms, 95.0);
   profile.median_shard_wall_ms = percentile(walls_ms, 50.0);
 
-  // Stall watchdog: a shard is stalled when it exceeds stall_factor ×
-  // the median shard wall (and the median is meaningful at all).
-  const double threshold = stall_factor * profile.median_shard_wall_ms;
-  for (RunReport::ShardProfile& shard : profile.shards) {
-    shard.stalled =
-        profile.median_shard_wall_ms > 0.0 && shard.wall_ms > threshold;
+  // Stall watchdog: a shard is stalled when its wall per device exceeds
+  // stall_factor × the median over non-empty shards (and that median is
+  // meaningful at all), so fleet imbalance — 64 devices against 4 — is
+  // not a stall.
+  std::vector<double> per_device_ms(profile.shards.size(), 0.0);
+  std::vector<double> nonempty_ms;
+  for (size_t i = 0; i < profile.shards.size(); ++i) {
+    if (dump.shards[i].devices == 0) continue;
+    per_device_ms[i] = profile.shards[i].wall_ms /
+                       static_cast<double>(dump.shards[i].devices);
+    nonempty_ms.push_back(per_device_ms[i]);
+  }
+  const double threshold = stall_factor * percentile(nonempty_ms, 50.0);
+  for (size_t i = 0; i < profile.shards.size(); ++i) {
+    profile.shards[i].stalled = threshold > 0.0 && per_device_ms[i] > threshold;
   }
 
   if (last_end > first_start && dump.worker_lanes > 0) {

@@ -137,8 +137,8 @@ class FlightRecorder {
 
 /// Condenses a dump into the RunReport profile section: per-shard wall
 /// and queue-wait, queue-wait p50/p95, worker utilization %, the stall
-/// watchdog (shards slower than stall_factor × the median shard wall)
-/// and peak RSS (sampled by the caller via read_peak_rss_bytes()).
+/// watchdog (wall per device over stall_factor × the non-empty shards'
+/// median) and peak RSS (sampled by the caller via read_peak_rss_bytes()).
 RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
                                  double stall_factor, size_t peak_rss_bytes);
 

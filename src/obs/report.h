@@ -56,7 +56,7 @@ struct RunReport {
     double stall_factor = 0.0;  ///< watchdog threshold multiplier (k)
     std::vector<ShardProfile> shards;
 
-    /// Labels of shards the watchdog flagged (wall > k × median).
+    /// Labels of shards the watchdog flagged (wall/device > k × median).
     std::vector<std::string> stalled_labels() const;
   };
 

@@ -450,8 +450,9 @@ TEST_F(FlightRecorderTest, BuildProfileComputesWaitsUtilizationAndStalls) {
   EXPECT_EQ(profile.shards[0].worker, 1);
   EXPECT_DOUBLE_EQ(profile.shards[0].wall_ms, 10.0);
   EXPECT_DOUBLE_EQ(profile.shards[3].queue_wait_ms, 20.0);
-  // Shard walls are {10, 20, 10, 100} ms: the nearest-rank median is 10,
-  // so only the 100 ms shard exceeds 4× median.
+  // Shard walls are {10, 20, 10, 100} ms over 10 devices each: the
+  // nearest-rank median per device is 1 ms, so only the 100 ms shard
+  // (10 ms per device) exceeds 4× median.
   EXPECT_DOUBLE_EQ(profile.median_shard_wall_ms, 10.0);
   EXPECT_FALSE(profile.shards[0].stalled);
   EXPECT_FALSE(profile.shards[1].stalled);
@@ -465,6 +466,34 @@ TEST_F(FlightRecorderTest, BuildProfileComputesWaitsUtilizationAndStalls) {
   EXPECT_DOUBLE_EQ(profile.queue_wait_p95_ms, 20.0);
   EXPECT_DOUBLE_EQ(profile.peak_rss_mb, 256.0);
   EXPECT_DOUBLE_EQ(profile.stall_factor, 4.0);
+}
+
+TEST_F(FlightRecorderTest, StallWatchdogIgnoresFleetImbalance) {
+  // One worker runs a 4-device shard, a 64-device shard at 16× its wall
+  // (the same cost per device) and an empty shard. Fleet imbalance is not
+  // a stall, and the empty shard does not drag the baseline down.
+  FlightRecorder::Dump dump;
+  dump.worker_lanes = 1;
+  dump.shards = {{"LG U+/cohort0", 0, 0, 4},
+                 {"Verizon/cohort0", 1, 0, 64},
+                 {"Verizon/cohort1", 1, 1, 0}};
+  auto span = [](int32_t index, int64_t start, int64_t end) {
+    ExecRecord r;
+    r.kind = ExecRecord::Kind::kShardSpan;
+    r.worker = 1;
+    r.shard_index = index;
+    r.start_us = start;
+    r.end_us = end;
+    return r;
+  };
+  dump.records.push_back(span(0, 0, 10'000));
+  dump.records.push_back(span(1, 10'000, 170'000));
+  dump.records.push_back(span(2, 170'000, 170'010));
+  const RunReport::Profile profile =
+      build_profile(dump, /*stall_factor=*/4.0, /*peak_rss_bytes=*/0);
+  EXPECT_DOUBLE_EQ(profile.median_shard_wall_ms, 10.0);
+  EXPECT_FALSE(profile.shards[1].stalled);
+  EXPECT_TRUE(profile.stalled_labels().empty());
 }
 
 TEST_F(FlightRecorderTest, ChromeTraceCarriesLanesSpansAndCounters) {

@@ -160,11 +160,6 @@ TEST_F(TopologyTest, TracerouteAnonymousHopForNonResponder) {
   EXPECT_TRUE(result.reached_destination);
 }
 
-TEST_F(TopologyTest, ZoneBoundaryFindsIngress) {
-  EXPECT_EQ(topo_.zone_boundary(a_, r_), g_);
-  EXPECT_EQ(topo_.zone_boundary(r_, a_), b_);
-}
-
 TEST_F(TopologyTest, ParallelLinksPickFastest) {
   topo_.add_link(a_, b_, LatencyModel::fixed(1.0));  // faster duplicate
   const auto rtt = topo_.transport_rtt_ms(a_, b_, rng_);
