@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # One-command CI matrix for the curtain tree.
 #
-#   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan, lint,
-#                             # bench-smoke, profile-smoke, rss-smoke)
-#   scripts/check.sh plain    # just one leg: plain | sanitize | tsan | lint
-#                             #   | bench-smoke | profile-smoke | rss-smoke
+#   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan,
+#                             # dns-wire, lint, bench-smoke, profile-smoke,
+#                             # rss-smoke)
+#   scripts/check.sh plain    # just one leg: plain | sanitize | tsan
+#                             #   | dns-wire | lint | bench-smoke
+#                             #   | profile-smoke | rss-smoke
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -18,6 +20,12 @@
 #             interleaving — plus RouteTreeConcurrency, where eight
 #             threads race to build and publish the same topology
 #             shortest-path trees.
+#   dns-wire  CURTAIN_DNS_WIRE_CHECK=ON build tree (build-wire/) and the
+#             full ctest suite. Simulated DNS servers exchange dns::Message
+#             values, not bytes; in this build every query and response at
+#             the one exchange point (stub, resolver upstream, carrier
+#             forward) is round-tripped through encode/decode and must come
+#             back equal, so a message the wire would change aborts the run.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -78,6 +86,13 @@ tsan_leg() {
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \
     --gtest_brief=1
+}
+
+dns_wire_leg() {
+  run_leg "DNS wire-check build + full ctest"
+  cmake -B build-wire -S . -DCURTAIN_DNS_WIRE_CHECK=ON >/dev/null
+  cmake --build build-wire -j "$JOBS"
+  ctest --test-dir build-wire --output-on-failure -j "$JOBS"
 }
 
 lint_leg() {
@@ -167,6 +182,7 @@ case "$LEG" in
   plain)    plain_leg ;;
   sanitize) sanitize_leg ;;
   tsan)     tsan_leg ;;
+  dns-wire) dns_wire_leg ;;
   lint)     lint_leg ;;
   bench-smoke) bench_smoke_leg ;;
   profile-smoke) profile_smoke_leg ;;
@@ -175,6 +191,7 @@ case "$LEG" in
     plain_leg
     sanitize_leg
     tsan_leg
+    dns_wire_leg
     lint_leg
     bench_smoke_leg
     profile_smoke_leg
@@ -183,7 +200,7 @@ case "$LEG" in
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|dns-wire|lint|bench-smoke|profile-smoke|rss-smoke|all]" >&2
     exit 2
     ;;
 esac

@@ -98,17 +98,14 @@ obs::LaneMemory ClientFacingResolver::approx_lane_bytes() const {
 }
 
 dns::ServedResponse ClientFacingResolver::handle_query(
-    std::span<const uint8_t> query_wire, net::Ipv4Addr source_ip,
-    net::SimTime now, net::Rng& rng) {
-  const auto query = dns::decode(query_wire);
-  if (!query || query->questions.empty()) {
-    dns::Message failure;
-    failure.header.id = query ? query->header.id : 0;
-    failure.header.qr = true;
+    const dns::Message& query, net::Ipv4Addr source_ip, net::SimTime now,
+    net::Rng& rng) {
+  if (query.questions.empty()) {
+    dns::Message failure = query.make_response();
     failure.header.rcode = dns::Rcode::kFormErr;
-    return dns::ServedResponse{dns::encode(failure), 0.0};
+    return dns::ServedResponse{std::move(failure), 0.0};
   }
-  const dns::Question& question = query->questions.front();
+  const dns::Question& question = query.questions.front();
   const net::NodeId instance = carrier_->client_instance_node(index_, source_ip);
   dns::Cache& cache = cache_for(instance);
   carrier_metrics().client_queries.inc();
@@ -121,10 +118,10 @@ dns::ServedResponse ClientFacingResolver::handle_query(
       carrier_metrics().client_cache_hits.inc();
       obs::ScopedSpan span("cell_ldns_cache", now.millis());
       span.finish(now.millis() + kClientCacheHitMs);
-      dns::Message response = query->make_response();
+      dns::Message response = query.make_response();
       response.header.ra = true;
       hit->append_aged(response.answers);
-      return dns::ServedResponse{dns::encode(response), kClientCacheHitMs};
+      return dns::ServedResponse{std::move(response), kClientCacheHitMs};
     }
   } else {
     carrier_metrics().cold_pool.inc();
@@ -133,14 +130,14 @@ dns::ServedResponse ClientFacingResolver::handle_query(
   auto selection = carrier_->select_pair(index_, source_ip, now, rng);
   if (selection.external == nullptr) {
     carrier_metrics().servfail.inc();
-    dns::Message failure = query->make_response();
+    dns::Message failure = query.make_response();
     failure.header.rcode = dns::Rcode::kServFail;
-    return dns::ServedResponse{dns::encode(failure), 0.0};
+    return dns::ServedResponse{std::move(failure), 0.0};
   }
   carrier_metrics().forwards.inc();
   obs::ScopedSpan span("forward_external", now.millis());
   dns::ServedResponse served =
-      selection.external->handle_query(query_wire, source_ip, now, rng);
+      dns::exchange(*selection.external, query, source_ip, now, rng);
   // Forwarding leg: client-facing instance to the external resolver and
   // back. Collocated architectures (SK Telecom) contribute ~0 here.
   served.server_side_ms += carrier_->internal_forward_ms(
@@ -149,7 +146,7 @@ dns::ServedResponse ClientFacingResolver::handle_query(
 
   // Cache the whole answer chain under the question key (forwarder-style;
   // the TTL is the chain minimum, so short CDN TTLs dominate).
-  if (const auto response = dns::decode(served.wire);
+  if (const auto& response = served.message;
       response && response->header.rcode == dns::Rcode::kNoError &&
       !response->answers.empty()) {
     cache.insert(question.name, question.type, response->answers, now);

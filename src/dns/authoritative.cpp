@@ -125,9 +125,10 @@ void AuthoritativeServer::answer_question(
   response.header.rcode = Rcode::kServFail;  // CNAME chain too long
 }
 
-ServedResponse AuthoritativeServer::handle_query(
-    std::span<const uint8_t> query_wire, net::Ipv4Addr source_ip,
-    net::SimTime now, net::Rng& rng) {
+ServedResponse AuthoritativeServer::handle_query(const Message& query,
+                                                 net::Ipv4Addr source_ip,
+                                                 net::SimTime now,
+                                                 net::Rng& rng) {
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   {
     // Handles re-bind whenever the thread's sheaf changes (obs/metrics.h).
@@ -143,23 +144,16 @@ ServedResponse AuthoritativeServer::handle_query(
   // accounting, so the span is instantaneous in virtual time; it exists to
   // show the hop (and to parent the CDN mapping span) in the trace tree.
   obs::ScopedSpan span("authoritative", now.millis());
-  ServedResponse served;
-  const auto query = decode(query_wire);
-  if (!query || query->questions.empty()) {
-    Message response;
-    response.header.id = query ? query->header.id : 0;
-    response.header.qr = true;
-    response.header.rcode = Rcode::kFormErr;
-    served.wire = encode(response);
-    return served;
-  }
-  Message response = query->make_response();
+  Message response = query.make_response();
   response.header.ra = false;  // authoritative servers do not recurse
-  answer_question(query->questions.front(), source_ip, query->ecs, now, rng,
+  if (query.questions.empty()) {
+    response.header.rcode = Rcode::kFormErr;
+    return ServedResponse{std::move(response), 0.0};
+  }
+  answer_question(query.questions.front(), source_ip, query.ecs, now, rng,
                   response);
-  served.wire = encode(response);
   span.finish(now.millis());
-  return served;
+  return ServedResponse{std::move(response), 0.0};
 }
 
 }  // namespace curtain::dns

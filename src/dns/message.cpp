@@ -16,7 +16,9 @@ constexpr size_t kMaxPointerChases = 32;
 // --- encoding -------------------------------------------------------------
 
 /// Tracks previously written names so later occurrences compress to
-/// two-byte pointers (RFC 1035 §4.1.4). Keys are dotted suffixes.
+/// two-byte pointers (RFC 1035 §4.1.4). Keys are suffixes in uncompressed
+/// wire form, so a label containing a dot ("a.b") cannot collide with the
+/// two labels a and b.
 class NameCompressor {
  public:
   void write_name(ByteWriter& out, const DnsName& name) {
@@ -42,8 +44,8 @@ class NameCompressor {
   static std::string suffix_key(const DnsName& name, size_t from) {
     std::string key;
     for (size_t i = from; i < name.label_count(); ++i) {
+      key += static_cast<char>(name.label(i).size());
       key += name.label(i);
-      key += '.';
     }
     return key;
   }
@@ -216,17 +218,17 @@ constexpr uint16_t kOptType = 41;       // OPT pseudo-RR (RFC 6891)
 constexpr uint16_t kEcsOptionCode = 8;   // CLIENT-SUBNET (RFC 7871)
 constexpr uint16_t kEdnsUdpPayload = 4096;
 
-/// Parses the OPT pseudo-RR's RDATA, extracting a client-subnet option.
-std::optional<EdnsClientSubnet> read_opt_rdata(ByteReader& reader,
-                                               uint16_t rdlength) {
+/// Parses the OPT pseudo-RR's RDATA into `ecs`. false when the RDATA is
+/// malformed or carries a second client-subnet option for the message.
+bool read_opt_rdata(ByteReader& reader, uint16_t rdlength,
+                    std::optional<EdnsClientSubnet>& ecs) {
   const size_t end = reader.offset() + rdlength;
-  std::optional<EdnsClientSubnet> ecs;
   while (reader.ok() && reader.offset() + 4 <= end) {
     const uint16_t code = reader.get_u16();
     const uint16_t length = reader.get_u16();
-    if (reader.offset() + length > end) return std::nullopt;
+    if (reader.offset() + length > end) return false;
     if (code == kEcsOptionCode) {
-      if (length < 4) return std::nullopt;
+      if (length < 4 || ecs) return false;
       const uint16_t family = reader.get_u16();
       EdnsClientSubnet option;
       option.source_prefix_len = reader.get_u8();
@@ -234,20 +236,24 @@ std::optional<EdnsClientSubnet> read_opt_rdata(ByteReader& reader,
       const size_t addr_bytes = length - 4;
       if (family != 1 || addr_bytes > 4 ||
           addr_bytes != (option.source_prefix_len + 7u) / 8u) {
-        return std::nullopt;
+        return false;
       }
       uint32_t addr = 0;
       for (size_t i = 0; i < addr_bytes; ++i) {
         addr |= static_cast<uint32_t>(reader.get_u8()) << (8 * (3 - i));
       }
       option.address = net::Ipv4Addr(addr);
+      // RFC 7871 §6: address bits past the source prefix must be zero.
+      if (net::Prefix(option.address, option.source_prefix_len).address() !=
+          option.address) {
+        return false;
+      }
       ecs = option;
     } else {
       reader.get_bytes(length);  // skip unknown option
     }
   }
-  if (!reader.ok() || reader.offset() != end) return std::nullopt;
-  return ecs ? ecs : std::optional<EdnsClientSubnet>{};
+  return reader.ok() && reader.offset() == end;
 }
 
 /// Reads one record. Ordinary records are appended to `section`; an OPT
@@ -265,14 +271,7 @@ bool read_record_into(ByteReader& reader, Message& message,
     reader.get_u32();                         // extended rcode/flags
     const uint16_t rdlength = reader.get_u16();
     if (!reader.ok() || reader.remaining() < rdlength) return false;
-    // A second OPT in one message is a protocol violation.
-    const auto option = read_opt_rdata(reader, rdlength);
-    if (!reader.ok()) return false;
-    if (option) {
-      if (message.ecs) return false;
-      message.ecs = option;
-    }
-    return true;
+    return read_opt_rdata(reader, rdlength, message.ecs);
   }
 
   const uint16_t klass = reader.get_u16();
@@ -303,9 +302,7 @@ void write_opt_record(ByteWriter& out, const EdnsClientSubnet& ecs) {
   out.put_u8(ecs.source_prefix_len);
   out.put_u8(ecs.scope_prefix_len);
   const uint32_t masked =
-      ecs.source_prefix_len == 0
-          ? 0
-          : ecs.address.value() & (0xffffffffu << (32 - ecs.source_prefix_len));
+      net::Prefix(ecs.address, ecs.source_prefix_len).address().value();
   for (size_t i = 0; i < addr_bytes; ++i) {
     out.put_u8(static_cast<uint8_t>(masked >> (8 * (3 - i))));
   }
@@ -334,14 +331,6 @@ const ResourceRecord* Message::first_answer(RRType type) const {
     if (rr.type() == type) return &rr;
   }
   return nullptr;
-}
-
-std::vector<net::Ipv4Addr> Message::answer_addresses() const {
-  std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
-    if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
-  }
-  return out;
 }
 
 std::vector<uint8_t> encode(const Message& message) {

@@ -1,10 +1,10 @@
 // DNS messages and the RFC 1035 wire codec (§4.1), including name
 // compression (§4.1.4).
 //
-// Every resolution in the simulator round-trips through this codec — the
-// stub encodes a real query packet, resolvers decode it, build a response
-// and encode it back — so the codec is exercised by all 8M+ resolutions of
-// a full campaign, not just by unit tests.
+// Simulated servers exchange `Message`s directly (dns/server.h), so the
+// codec is a library: unit and fuzz tests, benches and the hostile-server
+// wire adapter use it, and a CURTAIN_DNS_WIRE_CHECK build round-trips
+// every in-flight message through it to prove the shortcut is lossless.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,9 @@ struct Question {
 /// paper's related work (Otto et al., IMC'12) anticipates; Google Public
 /// DNS deployed it for opted-in CDNs in the study's era.
 struct EdnsClientSubnet {
-  net::Ipv4Addr address;       ///< client address, truncated to the prefix
+  /// Client address with the host bits past `source_prefix_len` cleared,
+  /// as the wire carries it.
+  net::Ipv4Addr address;
   uint8_t source_prefix_len = 24;
   uint8_t scope_prefix_len = 0;  ///< set by the authority in responses
 
@@ -82,7 +84,9 @@ struct Message {
   const ResourceRecord* first_answer(RRType type) const;
 
   /// All A-record addresses in the answer section, in order.
-  std::vector<net::Ipv4Addr> answer_addresses() const;
+  std::vector<net::Ipv4Addr> answer_addresses() const {
+    return a_addresses(answers);
+  }
 
   bool operator==(const Message&) const = default;
 };

@@ -49,6 +49,14 @@ ResourceRecord ResourceRecord::txt(const DnsName& name,
   return ResourceRecord{name, RRClass::kIN, ttl, TxtRecord{std::move(strings)}};
 }
 
+std::vector<net::Ipv4Addr> a_addresses(const std::vector<ResourceRecord>& rrs) {
+  std::vector<net::Ipv4Addr> out;
+  for (const auto& rr : rrs) {
+    if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
+  }
+  return out;
+}
+
 ResourceRecord ResourceRecord::soa(const DnsName& zone, SoaRecord soa,
                                    uint32_t ttl) {
   return ResourceRecord{zone, RRClass::kIN, ttl, std::move(soa)};

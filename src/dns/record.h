@@ -100,4 +100,7 @@ struct ResourceRecord {
   std::string to_string() const;
 };
 
+/// The addresses of the A records in `rrs`, in order.
+std::vector<net::Ipv4Addr> a_addresses(const std::vector<ResourceRecord>& rrs);
+
 }  // namespace curtain::dns

@@ -43,14 +43,6 @@ ResolverMetrics& resolver_metrics() {
 
 }  // namespace
 
-std::vector<net::Ipv4Addr> ResolutionResult::addresses() const {
-  std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
-    if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
-  }
-  return out;
-}
-
 RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
                                      net::Ipv4Addr ip,
                                      const net::Topology* topology,
@@ -220,15 +212,17 @@ std::optional<Message> RecursiveResolver::query_server(
   }
   Message query = Message::query(lane_state().next_query_id++, qname, type);
   if (ecs_enabled_ && !ecs_client.is_unspecified()) {
-    query.ecs = EdnsClientSubnet{ecs_client.slash24(), ecs_prefix_len_, 0};
+    // Disclose no more of the client than the source prefix (RFC 7871 §6).
+    query.ecs = EdnsClientSubnet{
+        net::Prefix(ecs_client.slash24(), ecs_prefix_len_).address(),
+        ecs_prefix_len_, 0};
   }
-  const auto wire = encode(query);
-  const ServedResponse served = server->handle_query(wire, ip_, now, rng);
+  ServedResponse served = exchange(*server, query, ip_, now, rng);
   result.upstream_ms += *rtt + served.server_side_ms;
   span.finish(now.millis() + result.upstream_ms);
-  auto response = decode(served.wire);
+  auto& response = served.message;
   if (!response || response->header.id != query.header.id) return std::nullopt;
-  return response;
+  return std::move(response);
 }
 
 void RecursiveResolver::cache_response_sections(const Message& response,
@@ -327,31 +321,23 @@ std::optional<DnsName> RecursiveResolver::iterate(
   return std::nullopt;
 }
 
-ServedResponse RecursiveResolver::handle_query(std::span<const uint8_t> query_wire,
+ServedResponse RecursiveResolver::handle_query(const Message& query,
                                                net::Ipv4Addr source_ip,
                                                net::SimTime now, net::Rng& rng) {
-  ServedResponse served;
-  const auto query = decode(query_wire);
-  if (!query || query->questions.empty()) {
-    Message response;
-    response.header.id = query ? query->header.id : 0;
-    response.header.qr = true;
+  Message response = query.make_response();
+  response.header.ra = true;
+  if (query.questions.empty()) {
     response.header.rcode = Rcode::kFormErr;
-    served.wire = encode(response);
-    return served;
+    return ServedResponse{std::move(response), 0.0};
   }
-  const Question& q = query->questions.front();
+  const Question& q = query.questions.front();
   // With ECS enabled, the stub's source address seeds the client subnet
   // we disclose upstream.
   ResolutionResult result = resolve(q.name, q.type, now, rng,
                                     ecs_enabled_ ? source_ip : net::Ipv4Addr{});
-  Message response = query->make_response();
-  response.header.ra = true;
   response.header.rcode = result.rcode;
   response.answers = std::move(result.answers);
-  served.server_side_ms = result.upstream_ms;
-  served.wire = encode(response);
-  return served;
+  return ServedResponse{std::move(response), result.upstream_ms};
 }
 
 }  // namespace curtain::dns

@@ -1,26 +1,31 @@
 // The DNS server interface and the registry binding servers to topology
 // nodes.
 //
-// Servers exchange *encoded* packets: a caller encodes its query, the
-// server decodes, answers and re-encodes. `server_side_ms` carries the
-// latency the server itself incurred (a recursive resolver's upstream
-// round trips); the caller adds its own transport RTT to the server.
+// Servers exchange `dns::Message` values, not packet bytes: no result
+// reads the bytes, so the wire codec (dns/message.h) stays off the
+// simulation path. A CURTAIN_DNS_WIRE_CHECK build round-trips every
+// message through the codec in `exchange` and requires it unchanged.
+// `server_side_ms` carries the latency the server itself incurred (a
+// recursive resolver's upstream round trips); the caller adds its own
+// transport RTT to the server.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <optional>
 #include <unordered_map>
-#include <vector>
 
+#include "dns/message.h"
 #include "net/clock.h"
 #include "net/ipv4.h"
 #include "net/rng.h"
 #include "net/topology.h"
+#include "util/contract.h"
 
 namespace curtain::dns {
 
 struct ServedResponse {
-  std::vector<uint8_t> wire;
+  /// The response, or nullopt when nothing decodable came back.
+  std::optional<Message> message;
   double server_side_ms = 0.0;
 };
 
@@ -28,10 +33,11 @@ class DnsServer {
  public:
   virtual ~DnsServer() = default;
 
-  /// Handles one query packet arriving from `source_ip` at time `now`.
-  /// Implementations must return a decodable response even for malformed
-  /// queries (FORMERR) so clients always observe *something* or a timeout.
-  virtual ServedResponse handle_query(std::span<const uint8_t> query_wire,
+  /// Handles one query arriving from `source_ip` at time `now`. Servers
+  /// answer every query, a question-less one with FORMERR, so clients
+  /// observe a response or a timeout; only a hostile or broken responder
+  /// returns no message.
+  virtual ServedResponse handle_query(const Message& query,
                                       net::Ipv4Addr source_ip, net::SimTime now,
                                       net::Rng& rng) = 0;
 
@@ -49,6 +55,24 @@ class DnsServer {
     return node();
   }
 };
+
+/// Sends `query` from `source_ip` to `server`: the stub, a resolver's
+/// upstream queries and a carrier's forward all go through here.
+inline ServedResponse exchange(DnsServer& server, const Message& query,
+                               net::Ipv4Addr source_ip, net::SimTime now,
+                               net::Rng& rng) {
+  ServedResponse served = server.handle_query(query, source_ip, now, rng);
+#ifdef CURTAIN_DNS_WIRE_CHECK
+  // Passing messages instead of bytes is sound only while the codec would
+  // carry both unchanged.
+  for (const Message* m : {&query, served.message ? &*served.message : &query}) {
+    const auto decoded = decode(encode(*m));
+    CURTAIN_CHECK(decoded && *decoded == *m)
+        << "DNS message id " << m->header.id << " changes on the wire";
+  }
+#endif
+  return served;
+}
 
 /// Maps server IPs to server instances so resolvers can "send" packets.
 /// Non-owning: the world owns its servers and outlives the registry users.

@@ -4,14 +4,6 @@
 
 namespace curtain::dns {
 
-std::vector<net::Ipv4Addr> StubResult::addresses() const {
-  std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
-    if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
-  }
-  return out;
-}
-
 StubResolver::StubResolver(net::NodeId node, net::Ipv4Addr client_ip,
                            const net::Topology& topology,
                            const ServerRegistry& registry)
@@ -38,12 +30,11 @@ StubResult StubResolver::query(net::Ipv4Addr resolver_ip, const DnsName& name,
   if (!rtt) return result;
 
   const Message query = Message::query(next_id_++, name, type);
-  const auto wire = encode(query);
   obs::ScopedSpan ldns("ldns", t0 + extra_latency_ms);
-  const ServedResponse served = server->handle_query(wire, client_ip_, now, rng);
+  ServedResponse served = exchange(*server, query, client_ip_, now, rng);
   const double after_server = t0 + extra_latency_ms + served.server_side_ms;
   ldns.finish(after_server);
-  const auto response = decode(served.wire);
+  auto& response = served.message;
   if (!response || response->header.id != query.header.id) return result;
 
   {
@@ -52,7 +43,7 @@ StubResult StubResolver::query(net::Ipv4Addr resolver_ip, const DnsName& name,
   }
   result.responded = true;
   result.rcode = response->header.rcode;
-  result.answers = response->answers;
+  result.answers = std::move(response->answers);
   result.total_ms += *rtt + served.server_side_ms;
   return result;
 }

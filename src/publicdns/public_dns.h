@@ -65,7 +65,7 @@ class PublicDnsService : public dns::DnsServer {
   obs::LaneMemory approx_lane_bytes() const;
 
   // DnsServer:
-  dns::ServedResponse handle_query(std::span<const uint8_t> query_wire,
+  dns::ServedResponse handle_query(const dns::Message& query,
                                    net::Ipv4Addr source_ip, net::SimTime now,
                                    net::Rng& rng) override;
   net::NodeId node() const override;

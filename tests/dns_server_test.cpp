@@ -3,6 +3,7 @@
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
+#include "dns_wire_adapter.h"
 
 namespace curtain::dns {
 namespace {
@@ -80,8 +81,7 @@ class DnsWorldTest : public ::testing::Test {
   ServedResponse ask_auth(AuthoritativeServer& server, const char* qname,
                           RRType type, net::Ipv4Addr source = {9, 9, 9, 9}) {
     const Message query = Message::query(77, name(qname), type);
-    return server.handle_query(encode(query), source, net::SimTime::zero(),
-                               rng_);
+    return server.handle_query(query, source, net::SimTime::zero(), rng_);
   }
 
   net::Topology topo_;
@@ -101,7 +101,7 @@ class DnsWorldTest : public ::testing::Test {
 
 TEST_F(DnsWorldTest, AuthAnswersStaticA) {
   const auto served = ask_auth(*origin_, "static.example.com", RRType::kA);
-  const auto response = decode(served.wire);
+  const auto& response = served.message;
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kNoError);
   EXPECT_TRUE(response->header.aa);
@@ -111,7 +111,7 @@ TEST_F(DnsWorldTest, AuthAnswersStaticA) {
 
 TEST_F(DnsWorldTest, AuthNxdomainCarriesSoa) {
   const auto response =
-      decode(ask_auth(*origin_, "missing.example.com", RRType::kA).wire);
+      ask_auth(*origin_, "missing.example.com", RRType::kA).message;
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kNxDomain);
   ASSERT_EQ(response->authorities.size(), 1u);
@@ -121,7 +121,7 @@ TEST_F(DnsWorldTest, AuthNxdomainCarriesSoa) {
 TEST_F(DnsWorldTest, AuthNodataKeepsNoError) {
   // static.example.com exists (A, TXT) but has no CNAME.
   const auto response =
-      decode(ask_auth(*origin_, "static.example.com", RRType::kCNAME).wire);
+      ask_auth(*origin_, "static.example.com", RRType::kCNAME).message;
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kNoError);
   EXPECT_TRUE(response->answers.empty());
@@ -130,7 +130,7 @@ TEST_F(DnsWorldTest, AuthNodataKeepsNoError) {
 
 TEST_F(DnsWorldTest, AuthOutOfZoneCnameReturnsLinkOnly) {
   const auto response =
-      decode(ask_auth(*origin_, "www.example.com", RRType::kA).wire);
+      ask_auth(*origin_, "www.example.com", RRType::kA).message;
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->answers.size(), 1u);
   EXPECT_EQ(response->answers[0].type(), RRType::kCNAME);
@@ -140,7 +140,7 @@ TEST_F(DnsWorldTest, AuthInZoneCnameChased) {
   origin_->add_record(ResourceRecord::cname(name("alias.example.com"),
                                             name("static.example.com"), 60));
   const auto response =
-      decode(ask_auth(*origin_, "alias.example.com", RRType::kA).wire);
+      ask_auth(*origin_, "alias.example.com", RRType::kA).message;
   ASSERT_TRUE(response.has_value());
   ASSERT_EQ(response->answers.size(), 2u);
   EXPECT_EQ(response->answers[0].type(), RRType::kCNAME);
@@ -149,7 +149,7 @@ TEST_F(DnsWorldTest, AuthInZoneCnameChased) {
 
 TEST_F(DnsWorldTest, AuthRefusesForeignZones) {
   const auto response =
-      decode(ask_auth(*origin_, "www.elsewhere.org", RRType::kA).wire);
+      ask_auth(*origin_, "www.elsewhere.org", RRType::kA).message;
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kRefused);
 }
@@ -157,7 +157,7 @@ TEST_F(DnsWorldTest, AuthRefusesForeignZones) {
 TEST_F(DnsWorldTest, AuthDynamicHandlerSeesResolverIp) {
   const auto served = ask_auth(*cdn_, "edge.cdnzone.net", RRType::kA,
                                net::Ipv4Addr{9, 9, 9, 9});
-  const auto response = decode(served.wire);
+  const auto& response = served.message;
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(dynamic_calls_, 1);
   EXPECT_EQ(last_seen_resolver_, net::Ipv4Addr(9, 9, 9, 9));
@@ -166,21 +166,58 @@ TEST_F(DnsWorldTest, AuthDynamicHandlerSeesResolverIp) {
 }
 
 TEST_F(DnsWorldTest, AuthMalformedQueryGetsFormErr) {
+  // Bytes that never decode, through a bytes-level front...
+  WireAdapter front = WireAdapter::fronting(*origin_);
   const std::vector<uint8_t> garbage{1, 2, 3};
-  const auto served = origin_->handle_query(garbage, net::Ipv4Addr{1, 1, 1, 1},
-                                            net::SimTime::zero(), rng_);
-  const auto response = decode(served.wire);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->header.rcode, Rcode::kFormErr);
+  const auto formerr = decode(front.handle_wire(
+      garbage, net::Ipv4Addr{1, 1, 1, 1}, net::SimTime::zero(), rng_));
+  ASSERT_TRUE(formerr.has_value());
+  EXPECT_EQ(formerr->header.rcode, Rcode::kFormErr);
+  // ...and a well-formed packet without a question, straight to the server.
+  Message no_question = Message::query(44, name("static.example.com"),
+                                       RRType::kA);
+  no_question.questions.clear();
+  const auto served = origin_->handle_query(
+      no_question, net::Ipv4Addr{1, 1, 1, 1}, net::SimTime::zero(), rng_);
+  ASSERT_TRUE(served.message.has_value());
+  EXPECT_EQ(served.message->header.rcode, Rcode::kFormErr);
+  EXPECT_EQ(served.message->header.id, 44);
+  EXPECT_TRUE(served.message->answers.empty());
 }
+
+TEST_F(DnsWorldTest, WireFrontAnswersLikeTheServer) {
+  // The adapter's encode -> server -> encode -> decode path is lossless.
+  WireAdapter front = WireAdapter::fronting(*origin_);
+  const Message query = Message::query(5, name("static.example.com"),
+                                       RRType::kA);
+  const auto direct = origin_->handle_query(query, net::Ipv4Addr{9, 9, 9, 9},
+                                            net::SimTime::zero(), rng_);
+  const auto via_wire = front.handle_query(query, net::Ipv4Addr{9, 9, 9, 9},
+                                           net::SimTime::zero(), rng_);
+  ASSERT_TRUE(direct.message.has_value());
+  ASSERT_TRUE(via_wire.message.has_value());
+  EXPECT_EQ(*via_wire.message, *direct.message);
+}
+
+#ifdef CURTAIN_DNS_WIRE_CHECK
+TEST_F(DnsWorldTest, WireCheckRejectsMessagesTheCodecWouldChange) {
+  // The wire carries only the ECS source prefix, so an unmasked address
+  // would reach the authority differently with and without the codec.
+  Message query = Message::query(6, name("edge.cdnzone.net"), RRType::kA);
+  query.ecs = EdnsClientSubnet{net::Ipv4Addr{100, 64, 3, 77}, 16, 0};
+  EXPECT_DEATH(exchange(*cdn_, query, net::Ipv4Addr{9, 9, 9, 9},
+                        net::SimTime::zero(), rng_),
+               "changes on the wire");
+}
+#endif
 
 TEST_F(DnsWorldTest, RootDelegatesToTld) {
   auto& root = hierarchy_->root();
-  const auto response = decode(
-      root.handle_query(encode(Message::query(1, name("static.example.com"),
-                                              RRType::kA)),
+  const auto response =
+      root.handle_query(Message::query(1, name("static.example.com"),
+                                       RRType::kA),
                         net::Ipv4Addr{9, 9, 9, 9}, net::SimTime::zero(), rng_)
-          .wire);
+          .message;
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->answers.empty());
   ASSERT_FALSE(response->authorities.empty());
@@ -300,9 +337,9 @@ TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
   const Message query =
       Message::query(321, name("static.example.com"), RRType::kA);
   const auto served = resolver_->handle_query(
-      encode(query), net::Ipv4Addr{7, 7, 7, 7}, net::SimTime::zero(), rng_);
+      query, net::Ipv4Addr{7, 7, 7, 7}, net::SimTime::zero(), rng_);
   EXPECT_GT(served.server_side_ms, 0.0);
-  const auto response = decode(served.wire);
+  const auto& response = served.message;
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->header.ra);
   EXPECT_EQ(response->header.id, 321);

@@ -8,6 +8,7 @@
 
 #include "cdn/domains.h"
 #include "core/world.h"
+#include "dns/hierarchy.h"
 #include "dns/resolver.h"
 
 namespace curtain::dns {
@@ -88,6 +89,60 @@ TEST(EcsCache, ScopesAreIndependent) {
   EXPECT_FALSE(cache.lookup(host, RRType::kA, net::SimTime::zero(), 0x64400400));
   // The owning subnet does.
   EXPECT_TRUE(cache.lookup(host, RRType::kA, net::SimTime::zero(), 0x64400300));
+}
+
+// --- what the resolver discloses ---------------------------------------------
+
+TEST(EcsResolver, DisclosesOnlyTheSourcePrefix) {
+  // enable_ecs(n) must show the authority the client's /24 truncated to n
+  // bits: a /16 resolver discloses 100.64.0.0, never the /24.
+  for (const auto& [prefix_len, expected] :
+       {std::pair<uint8_t, net::Ipv4Addr>{16, {100, 64, 0, 0}},
+        std::pair<uint8_t, net::Ipv4Addr>{24, {100, 64, 3, 0}}}) {
+    net::Topology topo;
+    ServerRegistry registry;
+    net::Node hub;
+    hub.name = "hub";
+    const net::NodeId hub_id = topo.add_node(hub);
+    const auto attach = [&](const std::string& host_name, net::NodeKind kind,
+                            const net::GeoPoint& location, net::Ipv4Addr ip) {
+      net::Node node;
+      node.name = host_name;
+      node.kind = kind;
+      node.location = location;
+      node.ip = ip;
+      const net::NodeId id = topo.add_node(node);
+      topo.add_link(id, hub_id, net::LatencyModel::fixed(1.0));
+      return id;
+    };
+    DnsHierarchy hierarchy(attach, &registry);
+    auto& cdn = hierarchy.create_zone(name("cdnzone.net"), {41, -87},
+                                      net::Ipv4Addr{50, 0, 0, 2});
+    std::optional<EdnsClientSubnet> seen;
+    cdn.set_dynamic_handler(
+        [&seen](const Question& question, net::Ipv4Addr,
+                const std::optional<EdnsClientSubnet>& ecs, net::SimTime,
+                net::Rng&) -> std::optional<std::vector<ResourceRecord>> {
+          seen = ecs;
+          return std::vector<ResourceRecord>{ResourceRecord::a(
+              question.name, net::Ipv4Addr{60, 1, 2, 3}, 0)};
+        },
+        /*dynamic_ttl_s=*/30);
+    RecursiveResolver resolver(
+        "ecs-resolver",
+        attach("resolver", net::NodeKind::kResolver, {42, -88}, {}),
+        net::Ipv4Addr{9, 9, 9, 9}, &topo, &registry, hierarchy.root_ip());
+    resolver.enable_ecs(prefix_len);
+    net::Rng rng{77};
+    const auto result =
+        resolver.resolve(name("edge.cdnzone.net"), RRType::kA,
+                         net::SimTime::zero(), rng, net::Ipv4Addr{100, 64, 3, 77});
+    ASSERT_EQ(result.rcode, Rcode::kNoError);
+    ASSERT_TRUE(seen.has_value()) << "/" << int{prefix_len};
+    EXPECT_EQ(seen->address, expected) << "/" << int{prefix_len};
+    EXPECT_EQ(seen->source_prefix_len, prefix_len);
+    EXPECT_EQ(seen->scope_prefix_len, 0);
+  }
 }
 
 // --- end-to-end: ECS fixes public-DNS replica mapping ----------------------

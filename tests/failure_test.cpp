@@ -7,6 +7,7 @@
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
+#include "dns_wire_adapter.h"
 #include "measure/probes.h"
 
 namespace curtain {
@@ -103,23 +104,13 @@ TEST_F(FailureTest, CnameLoopTerminates) {
 
 TEST_F(FailureTest, StubSurvivesGarbageResponder) {
   // A server that answers with garbage bytes must read as "no response".
-  class GarbageServer : public DnsServer {
-   public:
-    GarbageServer(net::NodeId node, net::Ipv4Addr ip) : node_(node), ip_(ip) {}
-    ServedResponse handle_query(std::span<const uint8_t>, net::Ipv4Addr,
-                                net::SimTime, net::Rng&) override {
-      return ServedResponse{{0xde, 0xad, 0xbe}, 0.0};
-    }
-    net::NodeId node() const override { return node_; }
-    net::Ipv4Addr ip() const override { return ip_; }
-
-   private:
-    net::NodeId node_;
-    net::Ipv4Addr ip_;
-  };
   const net::NodeId gnode = attach("garbage", net::NodeKind::kResolver,
                                    {40, -80}, net::Ipv4Addr{6, 6, 6, 6}, 0.0);
-  GarbageServer garbage(gnode, net::Ipv4Addr{6, 6, 6, 6});
+  WireAdapter garbage(gnode, net::Ipv4Addr{6, 6, 6, 6},
+                      [](std::span<const uint8_t>, net::Ipv4Addr, net::SimTime,
+                         net::Rng&) {
+                        return std::vector<uint8_t>{0xde, 0xad, 0xbe};
+                      });
   registry_.add(&garbage);
 
   StubResolver stub(client_, net::Ipv4Addr{7, 7, 7, 7}, topo_, registry_);
@@ -132,28 +123,20 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
 TEST_F(FailureTest, MismatchedQueryIdRejected) {
   // A server echoing the wrong transaction id must be ignored
   // (cache-poisoning hygiene).
-  class WrongIdServer : public DnsServer {
-   public:
-    WrongIdServer(net::NodeId node, net::Ipv4Addr ip) : node_(node), ip_(ip) {}
-    ServedResponse handle_query(std::span<const uint8_t> wire, net::Ipv4Addr,
-                                net::SimTime, net::Rng&) override {
-      auto query = decode(wire);
-      Message response = query->make_response();
-      response.header.id = static_cast<uint16_t>(query->header.id + 1);
-      response.answers.push_back(ResourceRecord::a(
-          query->questions.front().name, net::Ipv4Addr{66, 66, 66, 66}, 60));
-      return ServedResponse{encode(response), 0.0};
-    }
-    net::NodeId node() const override { return node_; }
-    net::Ipv4Addr ip() const override { return ip_; }
-
-   private:
-    net::NodeId node_;
-    net::Ipv4Addr ip_;
-  };
   const net::NodeId wnode = attach("wrongid", net::NodeKind::kResolver,
                                    {40, -81}, net::Ipv4Addr{6, 6, 6, 7}, 0.0);
-  WrongIdServer wrong(wnode, net::Ipv4Addr{6, 6, 6, 7});
+  WireAdapter wrong(wnode, net::Ipv4Addr{6, 6, 6, 7},
+                    [](std::span<const uint8_t> wire, net::Ipv4Addr,
+                       net::SimTime, net::Rng&) {
+                      auto query = decode(wire);
+                      Message response = query->make_response();
+                      response.header.id =
+                          static_cast<uint16_t>(query->header.id + 1);
+                      response.answers.push_back(ResourceRecord::a(
+                          query->questions.front().name,
+                          net::Ipv4Addr{66, 66, 66, 66}, 60));
+                      return encode(response);
+                    });
   registry_.add(&wrong);
 
   StubResolver stub(client_, net::Ipv4Addr{7, 7, 7, 7}, topo_, registry_);

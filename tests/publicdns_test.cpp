@@ -99,8 +99,8 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
   // IPs of the same site (Table 5: many IPs, few /24s).
   auto& att = world_->carrier(0);
   const net::Ipv4Addr src = att.assign_ip(4, rng_);
-  const auto query = dns::encode(dns::Message::query(
-      9, *dns::DnsName::parse("www.bing.com"), dns::RRType::kA));
+  const auto query = dns::Message::query(
+      9, *dns::DnsName::parse("www.bing.com"), dns::RRType::kA);
   // Count distinct instances by asking the service repeatedly and watching
   // which resolver the research ADNS would see; here we instead count the
   // cache spread indirectly via instance selection determinism — use the
@@ -108,7 +108,7 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
   for (int i = 0; i < 5; ++i) {
     const auto served = world_->google_dns().handle_query(
         query, src, net::SimTime::from_seconds(i), rng_);
-    const auto response = dns::decode(served.wire);
+    const auto& response = served.message;
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->header.rcode, dns::Rcode::kNoError);
   }
