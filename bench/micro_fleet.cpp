@@ -20,6 +20,16 @@
 // the bench exits nonzero if peak RSS crosses it — the scripts/check.sh
 // `rss-smoke` leg runs exactly that.
 //
+// The sweep's thin participation touches a few percent of the fleet. A
+// second, *full-coverage* point then builds a 10^5-device fleet (25k
+// study clients per carrier) and runs a one-hour campaign at
+// participation 1.0, so every device runs exactly one experiment and
+// every device's lanes are materialized: laned memory at full coverage,
+// the case interned cache content (dns/rrset_pool.h) exists for. It
+// emits one `fleet_full_coverage` line and has its own RSS ceiling,
+// kFullCoverageBaseMb + kFullCoverageKbPerDevice per device, checked
+// against the process peak after the sweep's world is gone.
+//
 // CURTAIN_SHARDS sizes the worker pool as everywhere else (0 = one per
 // hardware thread); CURTAIN_SEED and CURTAIN_BLOCK_ROWS apply too.
 // CURTAIN_SCALE scales the fleet (1.0 = the full million; scripts/check.sh
@@ -42,10 +52,19 @@ namespace {
 using namespace curtain;
 
 constexpr int kClientsPerCarrier = 250000;  // × 4 US carriers = one million
+constexpr int kFullCoverageClientsPerCarrier = 25000;  // × 4 = 10^5
+
+// Full-coverage RSS ceiling: world and engine, plus an allowance per
+// touched device about twice the measured laned bytes per device
+// (~17 KiB with interned cache content; each device held ~190 KiB of
+// private cache copies before, which put a 10^5-device full-coverage
+// run near 19 GB).
+constexpr double kFullCoverageBaseMb = 256.0;
+constexpr double kFullCoverageKbPerDevice = 32.0;
 
 /// CURTAIN_SCALE-adjusted fleet size per carrier (minimum 1 device).
-int scaled_clients_per_carrier() {
-  const double scaled = util::campaign_scale() * kClientsPerCarrier;
+int scaled_clients_per_carrier(int clients) {
+  const double scaled = util::campaign_scale() * clients;
   return scaled < 1.0 ? 1 : static_cast<int>(scaled);
 }
 
@@ -73,12 +92,13 @@ class DiscardSink final : public measure::RecordSink {
   size_t peak_block_bytes_ = 0;
 };
 
-std::vector<cellular::CarrierProfile> million_device_carriers() {
+/// The four US carriers, each widened to `clients_per_carrier` devices.
+std::vector<cellular::CarrierProfile> us_carriers(int clients_per_carrier) {
   std::vector<cellular::CarrierProfile> profiles;
   for (const auto& profile : cellular::study_carriers()) {
     if (profile.country != "US") continue;
     cellular::CarrierProfile widened = profile;
-    widened.study_clients = scaled_clients_per_carrier();
+    widened.study_clients = clients_per_carrier;
     profiles.push_back(std::move(widened));
   }
   return profiles;
@@ -95,6 +115,10 @@ struct RunPoint {
   double fleet_arena_mb = 0.0;
   double lane_cache_mb = 0.0;
   double lane_state_mb = 0.0;
+  /// Interned cache content, counted once per resolver (part of
+  /// lane_cache_mb), and how many distinct rrsets it holds.
+  double pool_mb = 0.0;
+  size_t pooled_rrsets = 0;
   double rss_after_mb = 0.0;
   /// Resident memory not explained by laned per-device state: world +
   /// fleet arenas + open record blocks. The bounded-memory claim is that
@@ -103,17 +127,14 @@ struct RunPoint {
   double wall_ms = 0.0;
 };
 
-RunPoint run_campaign(core::World& world, double duration_days, int workers,
-                      uint64_t seed) {
+RunPoint run_campaign(core::World& world, double duration_days,
+                      double participation, int workers, uint64_t seed) {
   exec::EngineConfig config;
   config.seed = seed;
   config.workers = workers;
   config.cohorts = 0;  // auto-size the partition from the worker count
   config.campaign.duration_days = duration_days;
-  // Thin participation: the fleet, not the experiment count, is the
-  // point. ~0.001/device/hour keeps the longest sweep point tractable
-  // while still streaming tens of thousands of experiments.
-  config.campaign.participation = 0.001;
+  config.campaign.participation = participation;
 
   std::vector<exec::CampaignEngine::CarrierRef> carriers;
   for (size_t c = 0; c < world.carriers().size(); ++c) {
@@ -158,6 +179,8 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
       static_cast<double>(lanes.cache_bytes) / (1024.0 * 1024.0);
   point.lane_state_mb =
       static_cast<double>(lanes.state_bytes) / (1024.0 * 1024.0);
+  point.pool_mb = static_cast<double>(lanes.pool_bytes) / (1024.0 * 1024.0);
+  point.pooled_rrsets = lanes.pooled_rrsets;
   point.rss_after_mb =
       static_cast<double>(obs::read_current_rss_bytes()) / (1024.0 * 1024.0);
   point.rss_floor_mb = std::max(
@@ -181,41 +204,48 @@ int main() {
   }
   const uint64_t seed = util::study_seed();
 
-  core::World world(core::Scenario::paper_2014()
-                        .with_seed(seed)
-                        .with_carriers(million_device_carriers()));
-
   // Sweep campaign length at a fixed one-million-device fleet. Records
   // streamed must grow ~linearly with duration while the record-path
   // floor (RSS minus the laned per-device state, which is bounded by the
   // fleet, not the campaign) stays flat — the bounded-memory contract.
+  const int sweep_clients = scaled_clients_per_carrier(kClientsPerCarrier);
   size_t reference_devices = 0;
   double first_floor_mb = 0.0;
   double last_floor_mb = 0.0;
-  for (const double duration_days : {0.25, 0.5, 1.0}) {
-    const RunPoint point = run_campaign(world, duration_days, workers, seed);
-    if (reference_devices == 0) reference_devices = point.devices;
-    if (first_floor_mb == 0.0) first_floor_mb = point.rss_floor_mb;
-    last_floor_mb = point.rss_floor_mb;
+  {
+    core::World world(core::Scenario::paper_2014()
+                          .with_seed(seed)
+                          .with_carriers(us_carriers(sweep_clients)));
+    for (const double duration_days : {0.25, 0.5, 1.0}) {
+      // Thin participation: the fleet, not the experiment count, is the
+      // point. ~0.001/device/hour keeps the longest sweep point tractable
+      // while still streaming tens of thousands of experiments.
+      const RunPoint point =
+          run_campaign(world, duration_days, 0.001, workers, seed);
+      if (reference_devices == 0) reference_devices = point.devices;
+      if (first_floor_mb == 0.0) first_floor_mb = point.rss_floor_mb;
+      last_floor_mb = point.rss_floor_mb;
 
-    std::printf(
-        "{\"bench_record\":\"fleet_memory\",\"devices\":%zu,"
-        "\"duration_days\":%.2f,\"shards\":%zu,\"workers\":%d,"
-        "\"experiments\":%zu,\"records\":%zu,\"streamed_mb\":%.1f,"
-        "\"peak_block_mb\":%.2f,\"fleet_arena_mb\":%.1f,"
-        "\"lane_cache_mb\":%.1f,\"lane_state_mb\":%.1f,"
-        "\"rss_after_mb\":%.1f,\"rss_floor_mb\":%.1f,"
-        "\"peak_rss_mb\":%.1f,\"wall_ms\":%.1f}\n",
-        point.devices, point.duration_days, point.shards, workers,
-        point.experiments, point.records, point.streamed_mb,
-        point.peak_block_mb, point.fleet_arena_mb, point.lane_cache_mb,
-        point.lane_state_mb, point.rss_after_mb, point.rss_floor_mb,
-        static_cast<double>(obs::read_peak_rss_bytes()) / (1024.0 * 1024.0),
-        point.wall_ms);
+      std::printf(
+          "{\"bench_record\":\"fleet_memory\",\"devices\":%zu,"
+          "\"duration_days\":%.2f,\"shards\":%zu,\"workers\":%d,"
+          "\"experiments\":%zu,\"records\":%zu,\"streamed_mb\":%.1f,"
+          "\"peak_block_mb\":%.2f,\"fleet_arena_mb\":%.1f,"
+          "\"lane_cache_mb\":%.1f,\"lane_state_mb\":%.1f,"
+          "\"pool_mb\":%.2f,\"pooled_rrsets\":%zu,"
+          "\"rss_after_mb\":%.1f,\"rss_floor_mb\":%.1f,"
+          "\"peak_rss_mb\":%.1f,\"wall_ms\":%.1f}\n",
+          point.devices, point.duration_days, point.shards, workers,
+          point.experiments, point.records, point.streamed_mb,
+          point.peak_block_mb, point.fleet_arena_mb, point.lane_cache_mb,
+          point.lane_state_mb, point.pool_mb, point.pooled_rrsets,
+          point.rss_after_mb, point.rss_floor_mb,
+          static_cast<double>(obs::read_peak_rss_bytes()) / (1024.0 * 1024.0),
+          point.wall_ms);
+    }
   }
 
-  const size_t expected_devices =
-      4u * static_cast<size_t>(scaled_clients_per_carrier());
+  const size_t expected_devices = 4u * static_cast<size_t>(sweep_clients);
   if (reference_devices != expected_devices) {
     std::printf("FAIL: fleet enrolled %zu devices, expected %zu\n",
                 reference_devices, expected_devices);
@@ -240,5 +270,47 @@ int main() {
   }
   std::printf("peak RSS %.1f MB%s\n", peak_mb,
               ceiling_mb == 0 ? " (no ceiling set)" : " (under ceiling)");
+
+  // Full coverage: a one-hour campaign gives every device exactly one
+  // hourly wake, and participation 1.0 turns every wake into an
+  // experiment, so every device's lanes are touched.
+  const int full_clients =
+      scaled_clients_per_carrier(kFullCoverageClientsPerCarrier);
+  const size_t full_devices = 4u * static_cast<size_t>(full_clients);
+  core::World world(core::Scenario::paper_2014()
+                        .with_seed(seed)
+                        .with_carriers(us_carriers(full_clients)));
+  const RunPoint point = run_campaign(world, 1.0 / 24.0, 1.0, workers, seed);
+  const double full_peak_mb =
+      static_cast<double>(obs::read_peak_rss_bytes()) / (1024.0 * 1024.0);
+  const double full_ceiling_mb =
+      kFullCoverageBaseMb +
+      kFullCoverageKbPerDevice * static_cast<double>(full_devices) / 1024.0;
+  std::printf(
+      "{\"bench_record\":\"fleet_full_coverage\",\"devices\":%zu,"
+      "\"duration_days\":%.4f,\"participation\":1.0,\"shards\":%zu,"
+      "\"workers\":%d,\"experiments\":%zu,\"records\":%zu,"
+      "\"fleet_arena_mb\":%.1f,\"lane_cache_mb\":%.1f,"
+      "\"lane_state_mb\":%.1f,\"pool_mb\":%.2f,\"pooled_rrsets\":%zu,"
+      "\"lane_kb_per_touched_device\":%.2f,\"rss_after_mb\":%.1f,"
+      "\"peak_rss_mb\":%.1f,\"rss_ceiling_mb\":%.0f,\"wall_ms\":%.1f}\n",
+      point.devices, point.duration_days, point.shards, workers,
+      point.experiments, point.records, point.fleet_arena_mb,
+      point.lane_cache_mb, point.lane_state_mb, point.pool_mb,
+      point.pooled_rrsets,
+      (point.lane_cache_mb + point.lane_state_mb) * 1024.0 /
+          static_cast<double>(full_devices),  // every device is touched
+      point.rss_after_mb, full_peak_mb, full_ceiling_mb, point.wall_ms);
+  if (point.devices != full_devices || point.experiments != full_devices) {
+    std::printf("FAIL: full coverage ran %zu experiments on %zu devices, "
+                "expected one on each of %zu\n",
+                point.experiments, point.devices, full_devices);
+    return 1;
+  }
+  if (full_peak_mb > full_ceiling_mb) {
+    std::printf("FAIL: full-coverage peak RSS %.1f MB over its %.0f MB "
+                "ceiling\n", full_peak_mb, full_ceiling_mb);
+    return 1;
+  }
   return 0;
 }

@@ -19,7 +19,9 @@
 #             exercises the laned-state partitioning under maximum
 #             interleaving — plus RouteTreeConcurrency, where eight
 #             threads race to build and publish the same topology
-#             shortest-path trees.
+#             shortest-path trees, and RrsetPoolConcurrency, where eight
+#             lane caches intern shared and private DNS content into one
+#             resolver's pool.
 #   dns-wire  CURTAIN_DNS_WIRE_CHECK=ON build tree (build-wire/) and the
 #             full ctest suite. Simulated DNS servers exchange dns::Message
 #             values, not bytes; in this build every query and response at
@@ -47,7 +49,10 @@
 #             default 0.1 = 100k devices) under CURTAIN_RSS_CEILING_MB; the
 #             bench exits nonzero if peak RSS breaches the ceiling or if
 #             record-path memory grows with campaign length — the
-#             bounded-memory gate for the streaming record pipeline.
+#             bounded-memory gate for the streaming record pipeline. The
+#             same run then touches every device of a 10k-device fleet
+#             (the full-coverage point) and fails if that breaches its
+#             own per-device RSS ceiling.
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -76,12 +81,12 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress) + route-tree first touch"
+  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress) + route-tree first touch + rrset pool"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test net_extra_test
+    --target shard_determinism_test net_extra_test dns_cache_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|RouteTreeConcurrency'
+    -R 'ShardDeterminism|RouteTreeConcurrency|RrsetPoolConcurrency'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

@@ -70,18 +70,24 @@ CarrierMetrics& carrier_metrics() {
 
 ClientFacingResolver::ClientFacingResolver(CellularNetwork* carrier, int index,
                                            net::Ipv4Addr ip)
-    : carrier_(carrier), index_(index), ip_(ip) {
+    : carrier_(carrier),
+      index_(index),
+      ip_(ip),
+      content_pool_(std::make_shared<dns::RrsetPool>()) {
   lane_caches_.reset(static_cast<size_t>(carrier->state_lanes()));
 }
 
 dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance) {
   const auto lane = static_cast<size_t>(net::current_state_lane());
-  return lane_caches_[lane][instance];  // default-constructed on first use
+  return lane_caches_[lane]
+      .try_emplace(instance, dns::Cache::kDefaultMaxEntries, content_pool_)
+      .first->second;
 }
 
 obs::LaneMemory ClientFacingResolver::approx_lane_bytes() const {
   obs::LaneMemory memory;
   memory.state_bytes += lane_caches_.approx_container_bytes();
+  memory += content_pool_->lane_memory();  // shared by every lane: charged once
   constexpr size_t kMapNodeOverhead =
       2 * sizeof(void*) + obs::kAllocOverheadBytes;
   // Commutative integer sums: hash order cannot leak into the result.

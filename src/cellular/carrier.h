@@ -43,7 +43,9 @@ class CellularNetwork;
 /// same carrier never contend and a device's cache-hit pattern is
 /// independent of the cohort partition. Population-level warmth is the
 /// external tier's background-load model; what a device's *own* queries
-/// left behind (the Fig. 7 back-to-back repeat) stays in its lane.
+/// left behind (the Fig. 7 back-to-back repeat) stays in its lane. The
+/// cached content is interned once per resolver (dns/rrset_pool.h), so
+/// a lane's copy is only its cache slots.
 class ClientFacingResolver : public dns::DnsServer {
  public:
   ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip);
@@ -57,8 +59,8 @@ class ClientFacingResolver : public dns::DnsServer {
 
   int index() const { return index_; }
 
-  /// Approximate heap bytes of the laned per-instance caches. A
-  /// profiling gauge — see obs/memory.h.
+  /// Approximate heap bytes of the laned per-instance caches, with the
+  /// pooled content charged once. A profiling gauge — see obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
 
  private:
@@ -71,6 +73,8 @@ class ClientFacingResolver : public dns::DnsServer {
   CellularNetwork* carrier_;
   int index_;
   net::Ipv4Addr ip_;
+  /// The one copy of the cached content every lane's caches point into.
+  std::shared_ptr<dns::RrsetPool> content_pool_;
   net::LaneTable<InstanceCaches> lane_caches_;
 };
 

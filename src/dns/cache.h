@@ -5,27 +5,38 @@
 // cellular resolvers miss ~20% of even very popular names (paper Fig. 7)
 // and puts the full recursion cost in the resolution-time tail (Fig. 5).
 //
-// Hits are served as borrowed views (CacheHit): the record vector is never
-// copied on lookup; TTL aging is computed once per hit and applied lazily
-// by the caller. Eviction runs off an expiry-ordered index (multimap, so
-// equal expiries keep insertion order and eviction stays deterministic)
-// instead of the old O(n) scan per capacity-bound insert. Every insert
-// also sweeps entries already past their TTL: expired entries can only
-// read as misses, so the sweep is invisible to lookups, and it keeps a
-// lane's cache sized by what is *live* — million-device campaigns would
-// otherwise strand expired short-TTL rrsets in every touched lane.
+// Content is interned: each entry's key, TTL and records live once in an
+// RrsetPool (dns/rrset_pool.h) shared by every lane cache of one
+// resolver, and the cache itself holds only 24-byte slots — a pointer to
+// the pooled rrset, the lane's expiry time, an insertion number and a
+// hash tag. The slots form one flat min-heap ordered by (expiry,
+// insertion number), so eviction is deterministic and equal expiries
+// leave in insertion order; small caches find keys by scanning the slots'
+// tags, and a cache past kScanLimit entries grows an open-addressing
+// index over heap positions. Every insert also sweeps entries already
+// past their TTL: expired entries can only read as misses, so the sweep
+// is invisible to lookups, and it keeps a lane's cache sized by what is
+// *live* — million-device campaigns would otherwise strand expired
+// short-TTL entries in every touched lane.
+//
+// Hits are served as borrowed views (CacheHit) of the pooled rrset: the
+// record vector is never copied on lookup; TTL aging is computed once per
+// hit, from this lane's insert time, and applied lazily by the caller. A
+// view stays valid as long as the pool — for a lane cache, its owning
+// resolver — whatever the cache does afterwards: pooled rrsets are
+// immutable and never freed while the pool lives.
 //
 // lint-hot-path: lookup/insert run on every simulated resolution, so
 // curtain_lint holds this file to the hot-alloc rule.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/record.h"
+#include "dns/rrset_pool.h"
 #include "net/time.h"
 
 namespace curtain::dns {
@@ -42,29 +53,20 @@ struct CacheStats {
   }
 };
 
-/// A positive or negative cached entry for one (name, type).
-struct CachedRrset {
-  std::vector<ResourceRecord> records;  ///< empty for a negative entry
-  bool negative = false;                ///< NXDOMAIN / NODATA marker
-  net::SimTime inserted;
-  net::SimTime expires;
-};
-
-/// A borrowed view of a cache hit. Valid until the cache is next mutated
-/// for this key (overwrite, expiry, eviction, clear); lookups and inserts
-/// of *other* keys do not invalidate it (node-based storage).
+/// A borrowed view of a cache hit: the pooled rrset plus this lane's
+/// time in cache. Valid as long as the cache's RrsetPool.
 ///
 /// TTL aging (RFC 1035 §3.2.1) is carried as a single elapsed-seconds
 /// value instead of a re-written record copy; callers that need aged
 /// records materialize them with aged_records()/append_aged().
 class CacheHit {
  public:
-  bool negative() const { return entry_->negative; }
+  bool negative() const { return rrset_->negative; }
   /// The stored records with their *original* (un-aged) TTLs.
   const std::vector<ResourceRecord>& records() const {
-    return entry_->records;
+    return rrset_->records;
   }
-  /// Seconds the entry has spent in cache at lookup time.
+  /// Seconds the entry has spent in this cache at lookup time.
   uint32_t elapsed_s() const { return elapsed_s_; }
   /// Ages one stored TTL by the time spent in cache.
   uint32_t aged_ttl(uint32_t ttl) const {
@@ -73,8 +75,8 @@ class CacheHit {
 
   /// Appends copies of the records with aged TTLs.
   void append_aged(std::vector<ResourceRecord>& out) const {
-    out.reserve(out.size() + entry_->records.size());
-    for (const auto& rr : entry_->records) {
+    out.reserve(out.size() + rrset_->records.size());
+    for (const auto& rr : rrset_->records) {
       out.push_back(rr);
       out.back().ttl = aged_ttl(rr.ttl);
     }
@@ -88,19 +90,29 @@ class CacheHit {
 
  private:
   friend class Cache;
-  CacheHit(const CachedRrset* entry, uint32_t elapsed_s)
-      : entry_(entry), elapsed_s_(elapsed_s) {}
+  CacheHit(const PooledRrset* rrset, uint32_t elapsed_s)
+      : rrset_(rrset), elapsed_s_(elapsed_s) {}
 
-  const CachedRrset* entry_;
+  const PooledRrset* rrset_;
   uint32_t elapsed_s_;
 };
 
 class Cache {
  public:
-  explicit Cache(size_t max_entries = 100000) : max_entries_(max_entries) {}
+  static constexpr size_t kDefaultMaxEntries = 100000;
+  /// Caches up to this size find keys by scanning slot tags; larger ones
+  /// keep a hash index.
+  static constexpr size_t kScanLimit = 32;
+
+  /// A cache holding at most `max_entries` (0 caches nothing) that
+  /// interns into `pool` — its owner's, shared by the owner's lane
+  /// caches — or, when `pool` is null, into a private pool of its own.
+  explicit Cache(size_t max_entries = kDefaultMaxEntries,
+                 std::shared_ptr<RrsetPool> pool = nullptr);
 
   /// Returns a borrowed view of the entry if present and unexpired (see
-  /// CacheHit for lifetime and TTL-aging semantics).
+  /// CacheHit for lifetime and TTL-aging semantics). An expired entry
+  /// found here is erased and counted as a miss.
   /// `scope` partitions entries by client subnet for ECS-tailored answers
   /// (RFC 7871 §7.3.1); 0 = subnet-independent data.
   std::optional<CacheHit> lookup(const DnsName& name, RRType type,
@@ -119,53 +131,64 @@ class Cache {
                        net::SimTime now, uint32_t scope = 0);
 
   void clear();
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return heap_.size(); }
   const CacheStats& stats() const { return stats_; }
+  /// The pool this cache interns into.
+  const RrsetPool& pool() const { return *pool_; }
 
-  /// Approximate heap bytes held by the entry map, the expiry index and
-  /// the cached rrsets. A profiling gauge (obs/memory.h) — counts node
-  /// and record-vector capacities, not exact allocator accounting.
+  /// Approximate heap bytes of this cache's own slots and index. Pooled
+  /// content is the pool's to report (RrsetPool::approx_bytes), once per
+  /// owner. A profiling gauge (obs/memory.h) — counts capacities, not
+  /// exact allocator accounting.
   size_t approx_bytes() const;
 
   /// TTL clamps; exposed so tests can exercise the bounds.
   void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s);
 
  private:
-  struct Key {
-    DnsName name;
-    RRType type;
-    uint32_t scope = 0;  ///< ECS client-subnet partition; 0 = global
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return (k.name.hash() * 31 + static_cast<size_t>(k.type)) * 31 + k.scope;
-    }
-  };
+  friend struct CachePeer;  // tests: insertion-number wrap-around
 
-  /// Expiry-ordered eviction index. multimap inserts equal keys at the
-  /// upper bound, so entries sharing an expiry stay in insertion order —
-  /// eviction order is deterministic by construction. Values point at the
-  /// owning map node's key (stable: unordered_map storage is node-based).
-  using ExpiryIndex = std::multimap<net::SimTime, const Key*>;
-  struct Entry {
-    CachedRrset data;
-    ExpiryIndex::iterator expiry_it;
+  struct Slot {
+    const PooledRrset* rrset;
+    net::SimTime expires;
+    uint32_t order;  ///< insertion number; orders equal expiries
+    uint32_t tag;    ///< low bits of the key hash: scan and probe filter
   };
-  using EntryMap = std::unordered_map<Key, Entry, KeyHash>;
+  static constexpr size_t kNone = ~size_t{0};
 
-  void insert_entry(Key key, CachedRrset entry);
+  /// Interns `rrset` (key and TTL already set) and stores it at `now`.
+  void insert_entry(PooledRrset rrset, net::SimTime now);
+  /// Heap position of the (name, type, scope) entry, or kNone.
+  size_t find(const DnsName& name, RRType type, uint32_t scope,
+              size_t hash) const;
   /// Removes every entry whose expiry is <= now, charging expired stats.
   void purge_expired(net::SimTime now);
-  /// Removes the soonest-to-expire (live) entry, charging capacity stats.
-  void evict_for_capacity();
-  void erase_expired_entry(EntryMap::iterator it);
+  void erase_at(size_t pos);
 
+  // Min-heap over (expires, order), kept in step with the index.
+  static bool earlier(const Slot& a, const Slot& b) {
+    return a.expires != b.expires ? a.expires < b.expires : a.order < b.order;
+  }
+  void swap_slots(size_t a, size_t b);
+  void sift_up(size_t pos);
+  void sift_down(size_t pos);
+  /// The next insertion number; renumbers live slots before it wraps.
+  uint32_t next_order();
+
+  // Open-addressing index (linear probing; entries are heap position + 1,
+  // 0 = empty), present only above kScanLimit entries.
+  size_t bucket_of(size_t pos) const;
+  void index_insert(size_t pos);
+  void index_erase(size_t pos);
+  void rebuild_index(size_t buckets);
+
+  std::shared_ptr<RrsetPool> pool_;
+  std::vector<Slot> heap_;
+  std::vector<uint32_t> index_;
   size_t max_entries_;
   uint32_t min_ttl_s_ = 0;
   uint32_t max_ttl_s_ = 86400;
-  EntryMap entries_;
-  ExpiryIndex expiry_;
+  uint32_t next_order_ = 0;
   CacheStats stats_;
 };
 

@@ -53,15 +53,19 @@ RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
       ip_(ip),
       topology_(topology),
       registry_(registry),
-      root_ip_(root_ip) {
+      root_ip_(root_ip),
+      pool_(std::make_shared<RrsetPool>()) {
   set_state_lanes(1);
 }
 
-void RecursiveResolver::set_state_lanes(size_t lanes) { lanes_.reset(lanes); }
+void RecursiveResolver::set_state_lanes(size_t lanes) {
+  lanes_.reset(lanes, LaneState(pool_));
+}
 
 obs::LaneMemory RecursiveResolver::approx_lane_bytes() const {
   obs::LaneMemory memory;
   memory.state_bytes += lanes_.approx_container_bytes();
+  memory += pool_->lane_memory();  // shared by every lane: charged once
   // Commutative integer sum: hash order cannot leak into the result.
   for (const auto& [lane, state] : lanes_) {  // lint: order-insensitive
     memory.cache_bytes += state.cache.approx_bytes();

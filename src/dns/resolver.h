@@ -77,8 +77,10 @@ class RecursiveResolver : public DnsServer {
   /// worker counts; the population-level cache warmth devices used to
   /// share is carried by the background-load model instead (see
   /// set_background_load). Lane states are allocated on first touch, so
-  /// the cost scales with lanes actually used. Call at build time, before
-  /// queries; drops previously cached data.
+  /// the cost scales with lanes actually used; the cached content itself
+  /// is interned once per resolver (dns/rrset_pool.h), so a lane costs
+  /// only its cache slots. Call at build time, before queries; drops
+  /// previously cached data (content already pooled stays pooled).
   void set_state_lanes(size_t lanes);
 
   /// Background-load model. Production resolvers serve whole subscriber
@@ -110,8 +112,9 @@ class RecursiveResolver : public DnsServer {
   }
   double background_interarrival_s() const { return bg_interarrival_s_; }
 
-  /// Approximate heap bytes of the laned query-time state (allocated
-  /// lanes, their caches). A profiling gauge — see obs/memory.h.
+  /// Approximate heap bytes of the laned query-time state: allocated
+  /// lanes, their cache slots, and the pooled content once. A profiling
+  /// gauge — see obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
 
  private:
@@ -150,8 +153,11 @@ class RecursiveResolver : public DnsServer {
   /// Mutable query-time state, one copy per state lane.
   struct LaneState {
     /// CDN-era resolvers honor short TTLs; cap at a day like common
-    /// software.
-    LaneState() { cache.set_ttl_bounds(0, 86400); }
+    /// software. Every lane's cache interns into `pool`.
+    explicit LaneState(std::shared_ptr<RrsetPool> pool = nullptr)
+        : cache(Cache::kDefaultMaxEntries, std::move(pool)) {
+      cache.set_ttl_bounds(0, 86400);
+    }
     Cache cache;
     uint16_t next_query_id = 1;
     bool warming = false;  ///< reentrancy guard for the warm-hit path
@@ -166,6 +172,8 @@ class RecursiveResolver : public DnsServer {
   const net::Topology* topology_;
   const ServerRegistry* registry_;
   net::Ipv4Addr root_ip_;
+  /// The one copy of the cached content all lanes' caches point into.
+  std::shared_ptr<RrsetPool> pool_;
   mutable net::LaneTable<LaneState> lanes_;
   double warm_hit_p_ = 0.0;
   double bg_interarrival_s_ = 0.0;

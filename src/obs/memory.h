@@ -41,14 +41,21 @@ size_t read_peak_rss_bytes();
 
 /// Roll-up of laned (per-device result-visible) state: DNS cache payload
 /// vs everything else (query ids, NAT cursors, container overhead).
+/// Cached content is interned once per resolver (dns/rrset_pool.h), so
+/// cache_bytes charges every lane's cache slots plus each resolver's
+/// pooled content exactly once.
 struct LaneMemory {
-  size_t cache_bytes = 0;  ///< dns::Cache entries across all lanes
+  size_t cache_bytes = 0;  ///< lane cache slots + pooled content, once
   size_t state_bytes = 0;  ///< non-cache laned state + container overhead
+  size_t pool_bytes = 0;     ///< the pooled-content share of cache_bytes
+  size_t pooled_rrsets = 0;  ///< distinct rrsets pooled, summed over owners
 
   size_t total() const { return cache_bytes + state_bytes; }
   LaneMemory& operator+=(const LaneMemory& other) {
     cache_bytes += other.cache_bytes;
     state_bytes += other.state_bytes;
+    pool_bytes += other.pool_bytes;
+    pooled_rrsets += other.pooled_rrsets;
     return *this;
   }
 };

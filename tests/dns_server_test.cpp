@@ -250,6 +250,41 @@ TEST_F(DnsWorldTest, WarmResolutionServedFromCache) {
   EXPECT_DOUBLE_EQ(warm.upstream_ms, 0.0);
 }
 
+TEST_F(DnsWorldTest, LanesCachingIdenticalContentAreChargedOnce) {
+  // Two devices' lanes resolve the same name: each lane keeps its own
+  // cache slots, but the content is pooled once per resolver, and the
+  // lane-memory gauge charges it once.
+  resolver_->set_state_lanes(3);
+  struct LaneBytes {
+    size_t slots = 0;
+    size_t pool = 0;
+    const std::vector<ResourceRecord>* records = nullptr;
+  };
+  const auto resolve_in = [&](int lane) {
+    net::StateLaneGuard guard(lane);
+    resolver_->resolve(name("www.example.com"), RRType::kA,
+                       net::SimTime::zero(), rng_);
+    const Cache& cache = resolver_->cache();
+    LaneBytes bytes{cache.approx_bytes(), cache.pool().approx_bytes(), nullptr};
+    const auto hit = resolver_->cache().lookup(
+        name("edge.cdnzone.net"), RRType::kA, net::SimTime::zero());
+    if (hit) bytes.records = &hit->records();
+    return bytes;
+  };
+  const LaneBytes first = resolve_in(1);
+  const size_t charged_one = resolver_->approx_lane_bytes().cache_bytes;
+  const LaneBytes second = resolve_in(2);
+  const size_t charged_two = resolver_->approx_lane_bytes().cache_bytes;
+
+  ASSERT_NE(first.records, nullptr);
+  EXPECT_EQ(first.records, second.records);  // one pooled copy
+  EXPECT_EQ(second.pool, first.pool);        // the second lane added none
+  EXPECT_EQ(second.slots, first.slots);
+  EXPECT_EQ(charged_one, first.pool + first.slots);
+  EXPECT_EQ(charged_two, first.pool + first.slots + second.slots);
+  EXPECT_GT(first.pool, first.slots);
+}
+
 TEST_F(DnsWorldTest, CachedTldCutShortensSecondResolution) {
   resolver_->resolve(name("static.example.com"), RRType::kA,
                      net::SimTime::zero(), rng_);
