@@ -87,7 +87,7 @@ inline void emit_record_at_exit() {
 class CsvSink {
  public:
   explicit CsvSink(const std::string& exp_id) {
-    const std::string dir = util::env_string("CURTAIN_BENCH_CSV_DIR", "");
+    const std::string dir = util::bench_csv_dir();
     if (dir.empty()) return;
     std::string slug;
     for (const char c : exp_id) {

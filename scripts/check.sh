@@ -3,10 +3,11 @@
 #
 #   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan,
 #                             # dns-wire, lint, bench-smoke, profile-smoke,
-#                             # rss-smoke)
+#                             # rss-smoke, perfbench-smoke)
 #   scripts/check.sh plain    # just one leg: plain | sanitize | tsan
 #                             #   | dns-wire | lint | bench-smoke
 #                             #   | profile-smoke | rss-smoke
+#                             #   | perfbench-smoke
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -53,6 +54,12 @@
 #             same run then touches every device of a 10k-device fleet
 #             (the full-coverage point) and fails if that breaches its
 #             own per-device RSS ceiling.
+#   perfbench-smoke
+#             python3 perfbench/selftest.py: builds the repo benchmark's
+#             workload binary (.bench_build/) from src/ and runs every
+#             BENCHMARK.json workload at toy size, failing on a schema,
+#             correctness or repeatability break, so a src/ change that
+#             breaks the benchmark fails here in seconds.
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -183,6 +190,11 @@ rss_smoke_leg() {
     ./build/bench/micro_fleet
 }
 
+perfbench_smoke_leg() {
+  run_leg "perfbench smoke (toy-size benchmark workloads + digests)"
+  python3 perfbench/selftest.py
+}
+
 case "$LEG" in
   plain)    plain_leg ;;
   sanitize) sanitize_leg ;;
@@ -192,6 +204,7 @@ case "$LEG" in
   bench-smoke) bench_smoke_leg ;;
   profile-smoke) profile_smoke_leg ;;
   rss-smoke) rss_smoke_leg ;;
+  perfbench-smoke) perfbench_smoke_leg ;;
   all)
     plain_leg
     sanitize_leg
@@ -201,11 +214,12 @@ case "$LEG" in
     bench_smoke_leg
     profile_smoke_leg
     rss_smoke_leg
+    perfbench_smoke_leg
     echo
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|dns-wire|lint|bench-smoke|profile-smoke|rss-smoke|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|dns-wire|lint|bench-smoke|profile-smoke|rss-smoke|perfbench-smoke|all]" >&2
     exit 2
     ;;
 esac

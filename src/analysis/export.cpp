@@ -1,5 +1,7 @@
 #include "analysis/export.h"
 
+#include <ostream>
+
 #include "cellular/carrier_profile.h"
 #include "cdn/domains.h"
 #include "util/contract.h"
@@ -23,13 +25,10 @@ const char* target_kind_name(measure::ProbeTargetKind kind) {
   return "?";
 }
 
-// --- the shared row writers ----------------------------------------------
-// Both export paths (cursor walk and streaming sink) funnel every row
-// through these, which is what guarantees their files match byte for byte.
-
-void write_experiments_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "device_id", "carrier", "started_hours", "radio",
-           "lat", "lon", "gateway", "public_ip", "configured_resolver"});
+void write_experiments_header(std::ostream& out) {
+  util::CsvWriter(out).row({"experiment_id", "device_id", "carrier",
+                            "started_hours", "radio", "lat", "lon", "gateway",
+                            "public_ip", "configured_resolver"});
 }
 
 void write_experiment_row(util::CsvWriter& csv,
@@ -43,9 +42,10 @@ void write_experiment_row(util::CsvWriter& csv,
                 context.configured_resolver.to_string());
 }
 
-void write_resolutions_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "resolver", "domain", "second_lookup",
-           "responded", "resolution_ms", "addresses"});
+void write_resolutions_header(std::ostream& out) {
+  util::CsvWriter(out).row({"experiment_id", "carrier", "resolver", "domain",
+                            "second_lookup", "responded", "resolution_ms",
+                            "addresses"});
 }
 
 void write_resolution_row(util::CsvWriter& csv,
@@ -62,9 +62,10 @@ void write_resolution_row(util::CsvWriter& csv,
                 int(r.responded), r.resolution_ms, addresses);
 }
 
-void write_probes_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "target_kind", "resolver", "domain",
-           "target_ip", "probe", "responded", "rtt_ms"});
+void write_probes_header(std::ostream& out) {
+  util::CsvWriter(out).row({"experiment_id", "carrier", "target_kind",
+                            "resolver", "domain", "target_ip", "probe",
+                            "responded", "rtt_ms"});
 }
 
 void write_probe_row(util::CsvWriter& csv, const measure::ProbeRow& p,
@@ -80,9 +81,9 @@ void write_probe_row(util::CsvWriter& csv, const measure::ProbeRow& p,
                 p.rtt_ms);
 }
 
-void write_traceroutes_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "target_ip", "target_kind", "reached",
-           "hops"});
+void write_traceroutes_header(std::ostream& out) {
+  util::CsvWriter(out).row({"experiment_id", "carrier", "target_ip",
+                            "target_kind", "reached", "hops"});
 }
 
 void write_traceroute_row(util::CsvWriter& csv,
@@ -98,9 +99,10 @@ void write_traceroute_row(util::CsvWriter& csv,
                 hops);
 }
 
-void write_observations_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "resolver", "responded", "external_ip",
-           "external_slash24", "resolution_ms"});
+void write_observations_header(std::ostream& out) {
+  util::CsvWriter(out).row({"experiment_id", "carrier", "resolver",
+                            "responded", "external_ip", "external_slash24",
+                            "resolution_ms"});
 }
 
 void write_observation_row(util::CsvWriter& csv,
@@ -113,8 +115,9 @@ void write_observation_row(util::CsvWriter& csv,
                 o.resolution_ms);
 }
 
-void write_vantage_header(util::CsvWriter& csv) {
-  csv.row({"carrier", "target_ip", "ping_responded", "traceroute_reached"});
+void write_vantage_header(std::ostream& out) {
+  util::CsvWriter(out).row(
+      {"carrier", "target_ip", "ping_responded", "traceroute_reached"});
 }
 
 void write_vantage_row(util::CsvWriter& csv, const measure::VantageProbe& v) {
@@ -134,134 +137,16 @@ void write_manifest(std::ostream& out, size_t experiments, size_t resolutions,
       << "vantage_probes: " << vantage << "\n";
 }
 
-/// The referential invariants every exporter relies on; violating any of
-/// them means the campaign merge (exec/engine.cpp, measure/record_store.h)
-/// is broken, and a loud abort beats shipping silently inconsistent files.
-void check_records_integrity(const measure::RecordStore& records) {
-  size_t ordinal = 0;
-  for (const auto& context : records.experiments()) {
-    CURTAIN_CHECK(context.experiment_id == ordinal)
-        << "experiment record " << ordinal << " carries id "
-        << context.experiment_id << "; context_of() indexing is broken";
-    ++ordinal;
-  }
-  for (const auto r : records.resolutions()) {
-    CURTAIN_CHECK(r.experiment_id < records.experiment_count())
-        << "resolution references unknown experiment " << r.experiment_id;
-    CURTAIN_CHECK(r.trace_index >= -1 &&
-                  (r.trace_index < 0 || static_cast<size_t>(r.trace_index) <
-                                            records.trace_count()))
-        << "resolution trace_index " << r.trace_index << " out of range ("
-        << records.trace_count() << " traces)";
-  }
-  for (const auto p : records.probes()) {
-    CURTAIN_CHECK(p.experiment_id < records.experiment_count())
-        << "probe references unknown experiment " << p.experiment_id;
-  }
-  for (const auto t : records.traceroutes()) {
-    CURTAIN_CHECK(t.experiment_id < records.experiment_count())
-        << "traceroute references unknown experiment " << t.experiment_id;
-  }
-  for (const auto& o : records.observations()) {
-    CURTAIN_CHECK(o.experiment_id < records.experiment_count())
-        << "resolver observation references unknown experiment "
-        << o.experiment_id;
-  }
-}
-
-const std::string& carrier_of(const measure::RecordStore& records,
-                              uint32_t experiment_id) {
-  return carrier_name(records.context_of(experiment_id).carrier_index);
-}
-
 }  // namespace
-
-void export_experiments_csv(const measure::RecordStore& records,
-                            std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_experiments_header(csv);
-  for (const auto& context : records.experiments()) {
-    write_experiment_row(csv, context,
-                         carrier_name(context.carrier_index));
-  }
-}
-
-void export_resolutions_csv(const measure::RecordStore& records,
-                            std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_resolutions_header(csv);
-  for (const auto r : records.resolutions()) {
-    write_resolution_row(csv, r, carrier_of(records, r.experiment_id));
-  }
-}
-
-void export_probes_csv(const measure::RecordStore& records,
-                       std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_probes_header(csv);
-  for (const auto p : records.probes()) {
-    write_probe_row(csv, p, carrier_of(records, p.experiment_id));
-  }
-}
-
-void export_traceroutes_csv(const measure::RecordStore& records,
-                            std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_traceroutes_header(csv);
-  for (const auto t : records.traceroutes()) {
-    write_traceroute_row(csv, t, carrier_of(records, t.experiment_id));
-  }
-}
-
-void export_resolver_observations_csv(const measure::RecordStore& records,
-                                      std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_observations_header(csv);
-  for (const auto& o : records.observations()) {
-    write_observation_row(csv, o, carrier_of(records, o.experiment_id));
-  }
-}
-
-void export_vantage_probes_csv(const measure::RecordStore& records,
-                               std::ostream& out) {
-  util::CsvWriter csv(out);
-  write_vantage_header(csv);
-  for (const auto& v : records.vantage_probes()) {
-    write_vantage_row(csv, v);
-  }
-}
 
 int export_records(const measure::RecordStore& records,
                    const std::string& directory) {
-  check_records_integrity(records);
-  struct FileSpec {
-    const char* name;
-    void (*write)(const measure::RecordStore&, std::ostream&);
-  };
-  const FileSpec files[] = {
-      {"experiments.csv", export_experiments_csv},
-      {"resolutions.csv", export_resolutions_csv},
-      {"probes.csv", export_probes_csv},
-      {"traceroutes.csv", export_traceroutes_csv},
-      {"resolver_observations.csv", export_resolver_observations_csv},
-      {"vantage_probes.csv", export_vantage_probes_csv},
-  };
-  int written = 0;
-  for (const auto& spec : files) {
-    std::ofstream out(directory + "/" + spec.name);
-    if (!out.good()) continue;
-    spec.write(records, out);
-    if (out.good()) ++written;
+  StreamingCsvExporter exporter(directory);
+  for (const measure::RecordBlock& block : records.blocks()) {
+    exporter.write(block);
   }
-  std::ofstream manifest(directory + "/MANIFEST.txt");
-  if (manifest.good()) {
-    write_manifest(manifest, records.experiment_count(),
-                   records.resolution_count(), records.probe_count(),
-                   records.traceroute_count(), records.observation_count(),
-                   records.vantage_count());
-    if (manifest.good()) ++written;
-  }
-  return written;
+  exporter.finish();
+  return exporter.files_written();
 }
 
 StreamingCsvExporter::StreamingCsvExporter(const std::string& directory)
@@ -272,93 +157,81 @@ StreamingCsvExporter::StreamingCsvExporter(const std::string& directory)
       traceroutes_(directory + "/traceroutes.csv"),
       observations_(directory + "/resolver_observations.csv"),
       vantage_(directory + "/vantage_probes.csv") {
-  if (experiments_.good()) {
-    util::CsvWriter csv(experiments_);
-    write_experiments_header(csv);
-  }
-  if (resolutions_.good()) {
-    util::CsvWriter csv(resolutions_);
-    write_resolutions_header(csv);
-  }
-  if (probes_.good()) {
-    util::CsvWriter csv(probes_);
-    write_probes_header(csv);
-  }
-  if (traceroutes_.good()) {
-    util::CsvWriter csv(traceroutes_);
-    write_traceroutes_header(csv);
-  }
-  if (observations_.good()) {
-    util::CsvWriter csv(observations_);
-    write_observations_header(csv);
-  }
-  if (vantage_.good()) {
-    util::CsvWriter csv(vantage_);
-    write_vantage_header(csv);
-  }
+  write_experiments_header(experiments_);
+  write_resolutions_header(resolutions_);
+  write_probes_header(probes_);
+  write_traceroutes_header(traceroutes_);
+  write_observations_header(observations_);
+  write_vantage_header(vantage_);
 }
 
-void StreamingCsvExporter::consume(measure::RecordBlock&& block) {
-  for (const auto& context : block.experiments) {
-    CURTAIN_CHECK(context.experiment_id == experiment_carrier_.size())
-        << "streamed experiment ids must arrive dense: got "
-        << context.experiment_id << " at ordinal "
-        << experiment_carrier_.size();
-    experiment_carrier_.push_back(context.carrier_index);
-    if (experiments_.good()) {
-      util::CsvWriter csv(experiments_);
+void StreamingCsvExporter::write(const measure::RecordBlock& block) {
+  // The referential invariants of the record stream; violating any of them
+  // means the campaign merge (exec/engine.cpp, measure/record_store.h) is
+  // broken, and a loud abort beats shipping silently inconsistent files.
+  // Rows bound for a stream that failed to open are formatted and dropped;
+  // finish() leaves that file uncounted.
+  {
+    util::CsvWriter csv(experiments_);
+    for (const auto& context : block.experiments) {
+      CURTAIN_CHECK(context.experiment_id == experiment_carrier_.size())
+          << "experiment ids must arrive dense: got "
+          << context.experiment_id << " at ordinal "
+          << experiment_carrier_.size();
+      experiment_carrier_.push_back(context.carrier_index);
       write_experiment_row(csv, context, carrier_name(context.carrier_index));
     }
   }
-  experiment_count_ += block.experiments.size();
+  // A block carries its resolutions' traces (RecordStore::add_trace runs
+  // before add_resolution), so the current block's traces count as seen.
+  trace_count_ += block.traces.size();
 
-  const auto carrier_of_id = [&](uint32_t experiment_id) -> const std::string& {
+  const auto carrier_of_id =
+      [&](uint32_t experiment_id) -> const std::string& {
     CURTAIN_CHECK(experiment_id < experiment_carrier_.size())
         << "record references unseen experiment " << experiment_id;
     return carrier_name(experiment_carrier_[experiment_id]);
   };
-
-  if (resolutions_.good()) {
+  {
     util::CsvWriter csv(resolutions_);
     for (size_t i = 0; i < block.resolutions.size(); ++i) {
       const measure::ResolutionRow r = block.resolution_row(i);
+      CURTAIN_CHECK(r.trace_index >= -1 &&
+                    (r.trace_index < 0 ||
+                     static_cast<size_t>(r.trace_index) < trace_count_))
+          << "resolution trace_index " << r.trace_index << " out of range ("
+          << trace_count_ << " traces seen)";
       write_resolution_row(csv, r, carrier_of_id(r.experiment_id));
     }
   }
-  resolution_count_ += block.resolutions.size();
-
-  if (probes_.good()) {
+  {
     util::CsvWriter csv(probes_);
     for (size_t i = 0; i < block.probes.size(); ++i) {
       const measure::ProbeRow p = block.probe_row(i);
       write_probe_row(csv, p, carrier_of_id(p.experiment_id));
     }
   }
-  probe_count_ += block.probes.size();
-
-  if (traceroutes_.good()) {
+  {
     util::CsvWriter csv(traceroutes_);
     for (size_t i = 0; i < block.traceroutes.size(); ++i) {
       const measure::TracerouteRow t = block.traceroute_row(i);
       write_traceroute_row(csv, t, carrier_of_id(t.experiment_id));
     }
   }
-  traceroute_count_ += block.traceroutes.size();
-
-  if (observations_.good()) {
+  {
     util::CsvWriter csv(observations_);
     for (const auto& o : block.observations) {
       write_observation_row(csv, o, carrier_of_id(o.experiment_id));
     }
   }
-  observation_count_ += block.observations.size();
-
-  if (vantage_.good()) {
+  {
     util::CsvWriter csv(vantage_);
-    for (const auto& v : block.vantage_probes) {
-      write_vantage_row(csv, v);
-    }
+    for (const auto& v : block.vantage_probes) write_vantage_row(csv, v);
   }
+  resolution_count_ += block.resolutions.size();
+  probe_count_ += block.probes.size();
+  traceroute_count_ += block.traceroutes.size();
+  observation_count_ += block.observations.size();
   vantage_count_ += block.vantage_probes.size();
 }
 
@@ -376,7 +249,7 @@ void StreamingCsvExporter::finish() {
   close_counted(vantage_);
   std::ofstream manifest(directory_ + "/MANIFEST.txt");
   if (manifest.good()) {
-    write_manifest(manifest, experiment_count_, resolution_count_,
+    write_manifest(manifest, experiment_carrier_.size(), resolution_count_,
                    probe_count_, traceroute_count_, observation_count_,
                    vantage_count_);
     if (manifest.good()) ++files_written_;

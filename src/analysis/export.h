@@ -4,20 +4,16 @@
 // the equivalent facility — one CSV per record type plus a manifest, so
 // external tooling (pandas/R/gnuplot) can re-analyze the campaign.
 //
-// Two entry points over one set of row writers:
-//   * export_records(store, dir): walks a retained RecordStore through its
-//     cursor ranges — the in-memory path;
-//   * StreamingCsvExporter: a RecordSink that writes each block's rows as
-//     it arrives — the bounded-memory path (engine run_streaming, or
-//     RecordStore::replay). Holding only a carrier-index byte per
-//     experiment, it never retains a record.
-// Both paths emit byte-identical files for the same record stream
-// (export_test exercises the equivalence).
+// One writer, StreamingCsvExporter, is a RecordSink that writes each
+// block's rows as it arrives — the bounded-memory path (engine
+// run_streaming). export_records(store, dir) feeds a retained RecordStore's
+// blocks through the same writer, so both workflows emit the same bytes.
+// Holding only a carrier index per experiment, the writer never retains a
+// record.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -25,42 +21,33 @@
 
 namespace curtain::analysis {
 
-/// Writers for each record type. Each emits a header row followed by one
-/// row per record; experiment context is denormalized into every row.
-void export_experiments_csv(const measure::RecordStore& records,
-                            std::ostream& out);
-void export_resolutions_csv(const measure::RecordStore& records,
-                            std::ostream& out);
-void export_probes_csv(const measure::RecordStore& records, std::ostream& out);
-void export_traceroutes_csv(const measure::RecordStore& records,
-                            std::ostream& out);
-void export_resolver_observations_csv(const measure::RecordStore& records,
-                                      std::ostream& out);
-void export_vantage_probes_csv(const measure::RecordStore& records,
-                               std::ostream& out);
-
 /// Writes the whole record stream into `directory` (experiments.csv,
 /// resolutions.csv, probes.csv, traceroutes.csv, resolver_observations.csv,
-/// vantage_probes.csv, MANIFEST.txt). Returns the number of files written
-/// successfully.
+/// vantage_probes.csv, MANIFEST.txt) through a StreamingCsvExporter.
+/// Returns the number of files written successfully.
 int export_records(const measure::RecordStore& records,
                    const std::string& directory);
 
 /// RecordSink writing the same seven files incrementally, one block at a
 /// time. Files open (and CSV headers land) at construction; MANIFEST.txt
 /// is written by finish(). Memory held: one open file per stream plus one
-/// carrier-index byte per experiment seen (resolution/probe rows reference
+/// carrier index per experiment seen (resolution/probe rows reference
 /// experiments from earlier blocks, so the carrier denormalization needs
 /// that much history — nothing else is retained).
 class StreamingCsvExporter final : public measure::RecordSink {
  public:
   explicit StreamingCsvExporter(const std::string& directory);
 
-  void consume(measure::RecordBlock&& block) override;
+  /// Appends one block's rows to the six CSV files. Aborts (CURTAIN_CHECK)
+  /// on a broken stream: experiment ids that are not dense, a record that
+  /// references an experiment not yet seen, or a trace_index that is
+  /// neither -1 nor below the number of traces seen so far (this block's
+  /// included).
+  void write(const measure::RecordBlock& block);
+  void consume(measure::RecordBlock&& block) override { write(block); }
   void finish() override;
 
-  /// Files successfully written; meaningful after finish(). Matches
-  /// export_records' return value for the same stream.
+  /// Files successfully written; meaningful after finish().
   int files_written() const { return files_written_; }
 
  private:
@@ -73,7 +60,7 @@ class StreamingCsvExporter final : public measure::RecordSink {
   std::ofstream vantage_;
   /// Carrier table index of experiment id `i` (ids arrive dense).
   std::vector<int32_t> experiment_carrier_;
-  size_t experiment_count_ = 0;
+  size_t trace_count_ = 0;
   size_t resolution_count_ = 0;
   size_t probe_count_ = 0;
   size_t traceroute_count_ = 0;

@@ -15,7 +15,7 @@ Scenario Scenario::from_env() {
   scenario.scale = util::campaign_scale();
   scenario.shards = util::campaign_shards();
   scenario.cohorts = util::campaign_cohorts();
-  scenario.metrics_out = util::env_string("CURTAIN_METRICS_OUT", "");
+  scenario.metrics_out = util::metrics_out();
   scenario.profile_out = util::profile_out();
   return scenario;
 }
@@ -39,11 +39,6 @@ Scenario& Scenario::with_shards(int value) {
 Scenario& Scenario::with_cohorts(int value) {
   if (value < 0) value = 0;
   cohorts = value > 64 ? 64 : value;
-  return *this;
-}
-
-Scenario& Scenario::with_metrics_out(std::string path) {
-  metrics_out = std::move(path);
   return *this;
 }
 
@@ -76,11 +71,6 @@ measure::CampaignConfig Scenario::campaign_config() const {
   CURTAIN_CHECK(cohorts >= 0 && cohorts <= 64)
       << "scenario cohorts " << cohorts << " outside [0, 64]";
   return measure::CampaignConfig::scaled(scale);
-}
-
-size_t Scenario::carrier_count() const {
-  return carrier_profiles.empty() ? cellular::study_carriers().size()
-                                  : carrier_profiles.size();
 }
 
 }  // namespace curtain::core

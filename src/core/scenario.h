@@ -52,11 +52,6 @@ struct Scenario {
   std::string profile_out;
 
   // --- world shape ------------------------------------------------------
-  int google_sites = 30;  ///< paper §6.1: 30 distributed /24s
-  int google_instances_per_site = 8;
-  int opendns_sites = 20;
-  int opendns_instances_per_site = 6;
-  int replicas_per_cluster = 3;
   uint32_t cdn_answer_ttl_s = 30;  ///< the short TTLs behind Fig. 7
   /// Enable EDNS client-subnet on Google Public DNS (RFC 7871) — the
   /// "natural evolution of DNS" remedy; off in the paper-era baseline.
@@ -79,7 +74,6 @@ struct Scenario {
   Scenario& with_scale(double value);
   Scenario& with_shards(int value);
   Scenario& with_cohorts(int value);
-  Scenario& with_metrics_out(std::string path);
   Scenario& with_profile_out(std::string path);
   Scenario& with_google_ecs(bool enabled);
   Scenario& with_cdn_answer_ttl(uint32_t ttl_s);
@@ -88,9 +82,6 @@ struct Scenario {
   /// Campaign tunables derived from `scale` (the only way a campaign
   /// config is ever produced).
   measure::CampaignConfig campaign_config() const;
-
-  /// Carriers this scenario builds (resolves the empty-profiles default).
-  size_t carrier_count() const;
 };
 
 }  // namespace curtain::core

@@ -15,6 +15,13 @@ using net::LatencyModel;
 const GeoPoint kVantageLocation{42.05, -87.68};
 const net::Ipv4Addr kVantageIp{129, 105, 0, 5};
 
+// Public DNS and CDN shape (paper §6.1: Google runs 30 distributed /24s).
+constexpr int kGoogleSites = 30;
+constexpr int kGoogleInstancesPerSite = 8;
+constexpr int kOpenDnsSites = 20;
+constexpr int kOpenDnsInstancesPerSite = 6;
+constexpr int kReplicasPerCluster = 3;
+
 std::string metro_country(const std::string& metro_name) {
   for (const auto& metro : net::us_metros()) {
     if (metro.name == metro_name) return "US";
@@ -167,7 +174,7 @@ void World::build_cdns() {
   for (const std::string& name : cdn::study_cdn_names()) {
     auto apex = dns::DnsName::parse(name + ".net");
     auto provider = std::make_unique<cdn::CdnProvider>(
-        name, *apex, context, config_.replicas_per_cluster,
+        name, *apex, context, kReplicasPerCluster,
         config_.cdn_answer_ttl_s);
     providers[name] = provider.get();
     cdns_[name] = std::move(provider);
@@ -209,12 +216,12 @@ void World::build_public_dns() {
 
   context.ecs_enabled = config_.google_ecs;
   google_ = std::make_unique<publicdns::PublicDnsService>(
-      "GoogleDNS", net::Ipv4Addr{8, 8, 8, 8}, config_.google_sites,
-      config_.google_instances_per_site, context);
+      "GoogleDNS", net::Ipv4Addr{8, 8, 8, 8}, kGoogleSites,
+      kGoogleInstancesPerSite, context);
   context.ecs_enabled = false;  // OpenDNS did not send ECS in the era
   opendns_ = std::make_unique<publicdns::PublicDnsService>(
-      "OpenDNS", net::Ipv4Addr{208, 67, 222, 222}, config_.opendns_sites,
-      config_.opendns_instances_per_site, context);
+      "OpenDNS", net::Ipv4Addr{208, 67, 222, 222}, kOpenDnsSites,
+      kOpenDnsInstancesPerSite, context);
 }
 
 void World::build_carriers() {

@@ -15,9 +15,9 @@
 #include <unordered_map>
 
 #include "dns/message.h"
-#include "net/clock.h"
 #include "net/ipv4.h"
 #include "net/rng.h"
+#include "net/time.h"
 #include "net/topology.h"
 #include "util/contract.h"
 

@@ -1,8 +1,8 @@
 // lint-hot-path (per-device wake-up scheduling loop)
 #include "exec/shard.h"
 
-#include "net/clock.h"
 #include "net/state_lane.h"
+#include "net/time.h"
 
 namespace curtain::exec {
 namespace {

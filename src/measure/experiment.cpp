@@ -10,6 +10,12 @@
 namespace curtain::measure {
 namespace {
 
+/// Fraction of replica/resolver probes that also run a traceroute
+/// (traceroutes are bulky; the paper stored 2.4M probes total).
+constexpr double kTracerouteSampleP = 0.25;
+/// Every Nth domain resolution records a hop-by-hop ResolutionTrace.
+constexpr uint32_t kTraceSampleEvery = 64;
+
 net::SimTime ms(double v) { return net::SimTime::from_millis(v); }
 
 struct ExperimentMetrics {
@@ -109,7 +115,7 @@ void ExperimentRunner::probe_target(cellular::Device& device,
     experiment_metrics().probes.inc();
     now += ms(http.responded ? http.ttfb_ms : 2000.0);
   }
-  if (rng.bernoulli(config_.traceroute_sample_p)) {
+  if (rng.bernoulli(kTracerouteSampleP)) {
     const ProbeOrigin origin = origin_for(device, now, rng);
     TracerouteOutcome trace = probes_.traceroute(origin, target, now, rng);
     TracerouteMeasurement record;
@@ -141,9 +147,7 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
     for (const bool second : {false, true}) {
       const double access = device.access_rtt_ms(now, rng);
       // Every Nth resolution is traced hop-by-hop against virtual time.
-      const bool sampled =
-          config_.trace_sample_every != 0 &&
-          resolution_counter_++ % config_.trace_sample_every == 0;
+      const bool sampled = resolution_counter_++ % kTraceSampleEvery == 0;
       obs::Tracer& tracer = obs::Tracer::instance();
       const bool tracing = sampled && tracer.begin(now.millis());
       const dns::StubResult result =

@@ -21,14 +21,8 @@
 namespace curtain::measure {
 
 struct ExperimentConfig {
-  /// Fraction of replica/resolver probes that also run a traceroute
-  /// (traceroutes are bulky; the paper stored 2.4M probes total).
-  double traceroute_sample_p = 0.25;
   net::Ipv4Addr google_vip{8, 8, 8, 8};
   net::Ipv4Addr opendns_vip{208, 67, 222, 222};
-  /// Record a hop-by-hop ResolutionTrace for every Nth domain resolution
-  /// (0 disables tracing entirely).
-  uint32_t trace_sample_every = 64;
 };
 
 class ExperimentRunner {

@@ -4,11 +4,11 @@
 // struct-of-arrays layout. Shards append transfer structs (records.h) one at
 // a time; the block packs hot scalar fields into parallel columns and
 // variable-length payloads (answer addresses, traceroute hop names) into
-// per-block pools, the same slab idiom the simulation core uses for its
-// event queue. Once a block reaches its row budget the owning RecordStore
-// seals it and either retains it (in-memory analysis) or hands it to a
-// RecordSink (streaming export) — so campaign memory is bounded by the
-// block budget, not the campaign length (DESIGN.md §15).
+// per-block pools, so no row's payload costs an allocation of its own.
+// Once a block reaches its row budget the owning RecordStore seals it and
+// either retains it (in-memory analysis) or hands it to a RecordSink
+// (streaming export) — so campaign memory is bounded by the block budget,
+// not the campaign length (DESIGN.md §15).
 //
 // Blocks are self-contained: ids can be renumbered in place (shift_ids)
 // when shard-local streams are merged into one campaign-global stream, and

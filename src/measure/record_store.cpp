@@ -206,14 +206,6 @@ void RecordStore::drain_renumbered(RecordSink& sink, uint32_t experiment_base,
   trace_count_ = 0;
 }
 
-void RecordStore::replay(RecordSink& sink) const {
-  for (const RecordBlock& block : blocks_) {
-    if (block.empty()) continue;
-    sink.consume(RecordBlock(block));
-  }
-  sink.finish();
-}
-
 const ExperimentContext& RecordStore::context_of(
     uint32_t experiment_id) const {
   CURTAIN_DCHECK(experiment_id < next_experiment_id_)

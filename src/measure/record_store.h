@@ -177,11 +177,6 @@ class RecordStore final : public RecordSink {
   void drain_renumbered(RecordSink& sink, uint32_t experiment_base,
                         int32_t trace_base);
 
-  /// Copies every retained block into `sink` (then finish()). Lets the
-  /// streaming consumers run from an in-memory store — the byte-identity
-  /// bridge between the two workflows.
-  void replay(RecordSink& sink) const;
-
   // --- totals (valid in both modes) -------------------------------------
   size_t experiment_count() const { return experiment_count_; }
   size_t resolution_count() const { return resolution_count_; }

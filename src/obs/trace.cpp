@@ -30,7 +30,7 @@ std::string ResolutionTrace::render() const {
 Tracer& Tracer::instance() {
   // One tracer per thread: traces decompose a single resolution executing
   // on the calling thread, so concurrent campaign shards each get their
-  // own span stack and ring (no locks on the span hot path).
+  // own span stack (no locks on the span hot path).
   static thread_local Tracer tracer;
   return tracer;
 }
@@ -52,14 +52,6 @@ ResolutionTrace Tracer::end(double now_ms) {
   active_ = false;
   ResolutionTrace done = std::move(current_);
   current_ = ResolutionTrace{};
-  if (ring_capacity_ > 0) {
-    if (ring_.size() < ring_capacity_) {
-      ring_.push_back(done);
-    } else {
-      ring_[ring_next_ % ring_capacity_] = done;
-    }
-    ++ring_next_;
-  }
   return done;
 }
 
@@ -88,29 +80,7 @@ void Tracer::close_span(int index, double now_ms) {
   }
 }
 
-std::vector<ResolutionTrace> Tracer::recent() const {
-  std::vector<ResolutionTrace> out;  // lint: bounded (copy of the ring)
-  if (ring_.size() < ring_capacity_) {
-    out = ring_;
-  } else {
-    // Ring is full: oldest entry sits at the write cursor.
-    out.reserve(ring_.size());
-    for (size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(ring_next_ + i) % ring_capacity_]);
-    }
-  }
-  return out;
-}
-
-void Tracer::set_ring_capacity(size_t capacity) {
-  ring_capacity_ = capacity;
-  ring_.clear();
-  ring_next_ = 0;
-}
-
 void Tracer::clear() {
-  ring_.clear();
-  ring_next_ = 0;
   active_ = false;
   paused_ = 0;
   current_ = ResolutionTrace{};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "analysis/export.h"
@@ -71,10 +72,24 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+/// Exports tiny_dataset() with export_records and returns the lines of
+/// `file`.
+std::vector<std::string> exported_lines(const std::string& file) {
+  // One directory per test: ctest runs the cases as parallel processes.
+  const std::string dir =
+      ::testing::TempDir() + "/curtain_export_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(export_records(tiny_dataset(), dir), 7);
+  std::ifstream in(dir + "/" + file);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return lines_of(text.str());
+}
+
 TEST(Export, ExperimentsCsvShape) {
-  std::ostringstream out;
-  export_experiments_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("experiments.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_TRUE(util::starts_with(lines[0], "experiment_id,device_id,carrier"));
   EXPECT_NE(lines[1].find("Verizon"), std::string::npos);
@@ -83,18 +98,14 @@ TEST(Export, ExperimentsCsvShape) {
 }
 
 TEST(Export, ResolutionsCsvJoinsDomainAndAddresses) {
-  std::ostringstream out;
-  export_resolutions_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("resolutions.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("m.yelp.com"), std::string::npos);
   EXPECT_NE(lines[1].find("20.0.1.1 20.0.1.2"), std::string::npos);
 }
 
 TEST(Export, ProbesCsvKinds) {
-  std::ostringstream out;
-  export_probes_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("probes.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("replica"), std::string::npos);
   EXPECT_NE(lines[1].find("http"), std::string::npos);
@@ -102,25 +113,19 @@ TEST(Export, ProbesCsvKinds) {
 }
 
 TEST(Export, TraceroutesCsvJoinsHops) {
-  std::ostringstream out;
-  export_traceroutes_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("traceroutes.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("Verizon-pgw-3|ix-Chicago"), std::string::npos);
 }
 
 TEST(Export, ObservationsCsvHasSlash24) {
-  std::ostringstream out;
-  export_resolver_observations_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("resolver_observations.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("20.7.7.0/24"), std::string::npos);
 }
 
 TEST(Export, VantageCsv) {
-  std::ostringstream out;
-  export_vantage_probes_csv(tiny_dataset(), out);
-  const auto lines = lines_of(out.str());
+  const auto lines = exported_lines("vantage_probes.csv");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[1].find("Verizon"), std::string::npos);
 }
@@ -135,6 +140,67 @@ TEST(Export, WholeDatasetToDirectory) {
 
 TEST(Export, UnwritableDirectoryFailsGracefully) {
   EXPECT_EQ(export_records(tiny_dataset(), "/nonexistent/dir/xyz"), 0);
+}
+
+// The writer's referential checks: a broken record stream aborts instead
+// of shipping inconsistent files. Each case feeds hand-built blocks.
+
+measure::ExperimentContext experiment_with_id(uint32_t id) {
+  measure::ExperimentContext context;
+  context.experiment_id = id;
+  context.carrier_index = 3;
+  return context;
+}
+
+TEST(ExportDeathTest, ExperimentIdsMustBeDense) {
+  const std::string dir = ::testing::TempDir() + "/curtain_export_dense";
+  std::filesystem::create_directories(dir);
+  EXPECT_DEATH(
+      {
+        StreamingCsvExporter exporter(dir);
+        measure::RecordBlock block;
+        block.append_experiment(experiment_with_id(0));
+        block.append_experiment(experiment_with_id(2));
+        exporter.consume(std::move(block));
+      },
+      "must arrive dense");
+}
+
+TEST(ExportDeathTest, ResolutionMustReferenceASeenExperiment) {
+  const std::string dir = ::testing::TempDir() + "/curtain_export_unseen";
+  std::filesystem::create_directories(dir);
+  EXPECT_DEATH(
+      {
+        StreamingCsvExporter exporter(dir);
+        measure::RecordBlock first;
+        first.append_experiment(experiment_with_id(0));
+        exporter.consume(std::move(first));
+        measure::RecordBlock second;
+        measure::DnsMeasurement r;
+        r.experiment_id = 1;
+        second.append_resolution(r);
+        exporter.consume(std::move(second));
+      },
+      "unseen experiment 1");
+}
+
+TEST(ExportDeathTest, TraceIndexMustBeBelowTracesSeen) {
+  const std::string dir = ::testing::TempDir() + "/curtain_export_trace";
+  std::filesystem::create_directories(dir);
+  EXPECT_DEATH(
+      {
+        StreamingCsvExporter exporter(dir);
+        measure::RecordBlock block;
+        block.append_experiment(experiment_with_id(0));
+        block.append_trace(obs::ResolutionTrace{});
+        measure::DnsMeasurement r;
+        r.trace_index = 0;  // this block's trace: in range
+        block.append_resolution(r);
+        r.trace_index = 1;  // past the one trace seen so far
+        block.append_resolution(r);
+        exporter.consume(std::move(block));
+      },
+      "trace_index 1 out of range");
 }
 
 }  // namespace

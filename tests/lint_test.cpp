@@ -74,10 +74,6 @@ double t2 = time + resolve_time(query);
 }
 
 TEST(LintWallclock, ClockSubstrateIsExempt) {
-  EXPECT_EQ(count_rule(lint_file("src/net/clock.cpp",
-                                 "auto t = std::chrono::steady_clock::now();\n"),
-                       "wallclock"),
-            0);
   EXPECT_EQ(count_rule(lint_file("src/net/time.cpp",
                                  "auto t = std::chrono::steady_clock::now();\n"),
                        "wallclock"),

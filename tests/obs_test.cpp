@@ -169,7 +169,7 @@ TEST_F(ObsTest, SpansAreNoOpsWithoutAnActiveTrace) {
     ScopedSpan orphan("orphan", 0.0);
     orphan.finish(10.0);
   }
-  EXPECT_TRUE(tracer.recent().empty());
+  EXPECT_FALSE(tracer.active());
   ASSERT_TRUE(tracer.begin(0.0));
   const ResolutionTrace trace = tracer.end(5.0);
   EXPECT_TRUE(trace.spans.empty());
@@ -208,21 +208,6 @@ TEST_F(ObsTest, AbandonedSpansCloseZeroDuration) {
   EXPECT_DOUBLE_EQ(trace.spans[0].duration_ms, 0.0);
   EXPECT_DOUBLE_EQ(trace.spans[1].duration_ms, 0.0);
   EXPECT_DOUBLE_EQ(trace.total_ms, 9.0);
-}
-
-TEST_F(ObsTest, RingKeepsLastTracesOldestFirst) {
-  Tracer& tracer = Tracer::instance();
-  tracer.set_ring_capacity(3);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(tracer.begin(0.0));
-    tracer.end(static_cast<double>(i));
-  }
-  const auto recent = tracer.recent();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_DOUBLE_EQ(recent[0].total_ms, 2.0);
-  EXPECT_DOUBLE_EQ(recent[1].total_ms, 3.0);
-  EXPECT_DOUBLE_EQ(recent[2].total_ms, 4.0);
-  tracer.set_ring_capacity(256);  // restore the default for other tests
 }
 
 // --- Exporters ---------------------------------------------------------

@@ -44,6 +44,20 @@ struct Exported {
   std::vector<std::string> csv;
 };
 
+/// The export surfaces, in export_records' file order.
+constexpr const char* kFiles[] = {
+    "experiments.csv", "resolutions.csv",           "probes.csv",
+    "traceroutes.csv", "resolver_observations.csv", "vantage_probes.csv",
+    "MANIFEST.txt"};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 Exported run_and_export(const core::Scenario& config) {
   // Each run merges its shard sheaves into the global registry; zero it
   // first so the metrics comparison sees exactly one campaign.
@@ -59,20 +73,14 @@ Exported run_and_export(const core::Scenario& config) {
   out.totals = summary.substr(0, summary.size() - suffix.size());
   out.metrics = obs::to_prometheus_text(obs::metrics().snapshot());
 
-  using Writer = void (*)(const measure::RecordStore&, std::ostream&);
-  static constexpr Writer kWriters[] = {
-      analysis::export_experiments_csv,
-      analysis::export_resolutions_csv,
-      analysis::export_probes_csv,
-      analysis::export_traceroutes_csv,
-      analysis::export_resolver_observations_csv,
-      analysis::export_vantage_probes_csv,
-  };
-  for (const Writer writer : kWriters) {
-    std::ostringstream stream;
-    writer(study.records(), stream);
-    out.csv.push_back(stream.str());
-  }
+  // One directory per test: ctest runs the cases as parallel processes.
+  const std::string dir =
+      testing::TempDir() + "curtain_determinism_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(analysis::export_records(study.records(), dir), 7);
+  for (const char* file : kFiles) out.csv.push_back(slurp(dir + "/" + file));
+  std::filesystem::remove_all(dir);
   return out;
 }
 
@@ -81,13 +89,9 @@ void expect_identical(const Exported& a, const Exported& b) {
   EXPECT_EQ(a.totals, b.totals);
   EXPECT_EQ(a.metrics, b.metrics) << "merged metrics diverged";
   ASSERT_EQ(a.csv.size(), b.csv.size());
-  static constexpr const char* kSurfaces[] = {
-      "experiments", "resolutions",           "probes",
-      "traceroutes", "resolver_observations", "vantage_probes"};
   for (size_t i = 0; i < a.csv.size(); ++i) {
-    EXPECT_FALSE(a.csv[i].empty()) << kSurfaces[i];
-    EXPECT_EQ(a.csv[i], b.csv[i]) << "export surface diverged: "
-                                  << kSurfaces[i];
+    EXPECT_FALSE(a.csv[i].empty()) << kFiles[i];
+    EXPECT_EQ(a.csv[i], b.csv[i]) << "export surface diverged: " << kFiles[i];
   }
 }
 
@@ -152,58 +156,18 @@ TEST(ShardDeterminism, BlockRowBudgetIsByteInvisible) {
   ::unsetenv("CURTAIN_BLOCK_ROWS");
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-// The streaming CSV exporter (block-at-a-time, bounded memory) must
-// produce byte-identical files to the in-memory cursor path, for every
-// worker/cohort shape — the tentpole contract of the record-block
-// pipeline (DESIGN.md §15).
+// export_records streams a retained store's blocks through the one CSV
+// writer (StreamingCsvExporter, block-at-a-time, bounded memory). For every
+// worker/cohort shape it must write all seven files (run_and_export checks
+// the count), byte-identical to the serial shape's (DESIGN.md §15).
 TEST(ShardDeterminism, StreamingExportMatchesInMemory) {
-  static constexpr const char* kFiles[] = {
-      "experiments.csv",  "resolutions.csv",
-      "probes.csv",       "traceroutes.csv",
-      "resolver_observations.csv", "vantage_probes.csv",
-      "MANIFEST.txt"};
+  const Exported reference = run_and_export(scenario(1, 1));
   for (const int workers : {1, 4}) {
     for (const int cohorts : {1, 3}) {
-      std::string shape = "workers=";
-      shape += std::to_string(workers);
-      shape += " cohorts=";
-      shape += std::to_string(cohorts);
-      SCOPED_TRACE(shape);
-      obs::metrics().reset_for_tests();
-      core::Study study(scenario(cohorts, workers));
-      study.run();
-
-      std::string tag = "w";
-      tag += std::to_string(workers);
-      tag += "c";
-      tag += std::to_string(cohorts);
-      const std::string memory_dir =
-          testing::TempDir() + "curtain_export_memory_" + tag;
-      const std::string stream_dir =
-          testing::TempDir() + "curtain_export_stream_" + tag;
-      std::filesystem::create_directories(memory_dir);
-      std::filesystem::create_directories(stream_dir);
-
-      ASSERT_EQ(analysis::export_records(study.records(), memory_dir), 7);
-      analysis::StreamingCsvExporter exporter(stream_dir);
-      study.records().replay(exporter);
-      EXPECT_EQ(exporter.files_written(), 7);
-
-      for (const char* file : kFiles) {
-        EXPECT_EQ(slurp(stream_dir + "/" + file),
-                  slurp(memory_dir + "/" + file))
-            << "streaming export diverged: " << file;
-      }
-      std::filesystem::remove_all(memory_dir);
-      std::filesystem::remove_all(stream_dir);
+      if (workers == 1 && cohorts == 1) continue;
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " cohorts=" + std::to_string(cohorts));
+      expect_identical(reference, run_and_export(scenario(cohorts, workers)));
     }
   }
 }
