@@ -33,6 +33,7 @@
 
 #include "bench_common.h"
 #include "core/study.h"
+#include "util/flags.h"
 
 namespace {
 
@@ -85,7 +86,7 @@ double serial_ms(const std::vector<ShardStat>& stats) {
 
 int main() {
   curtain::core::Scenario base = curtain::core::Scenario::from_env();
-  if (curtain::util::env_string("CURTAIN_SCALE", "").empty()) {
+  if (!curtain::util::campaign_scale_set()) {
     base.with_scale(0.1);
   }
   std::printf("================================================================\n");

@@ -20,9 +20,11 @@
 #             exercises the laned-state partitioning under maximum
 #             interleaving — plus RouteTreeConcurrency, where eight
 #             threads race to build and publish the same topology
-#             shortest-path trees, and RrsetPoolConcurrency, where eight
+#             shortest-path trees, RrsetPoolConcurrency, where eight
 #             lane caches intern shared and private DNS content into one
-#             resolver's pool.
+#             resolver's pool, and MappingTableConcurrency, where eight
+#             threads race to fill a fresh world's anycast site rankings
+#             and CDN hint clusters on first touch.
 #   dns-wire  CURTAIN_DNS_WIRE_CHECK=ON build tree (build-wire/) and the
 #             full ctest suite. Simulated DNS servers exchange dns::Message
 #             values, not bytes; in this build every query and response at
@@ -88,12 +90,13 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress) + route-tree first touch + rrset pool"
+  run_leg "TSan build + shard determinism (incl. 16x16 cohort stress) + route-tree first touch + rrset pool + mapping tables"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test net_extra_test dns_cache_test
+    --target shard_determinism_test net_extra_test dns_cache_test \
+    publicdns_test cdn_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|RouteTreeConcurrency|RrsetPoolConcurrency'
+    -R 'ShardDeterminism|RouteTreeConcurrency|RrsetPoolConcurrency|MappingTableConcurrency'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

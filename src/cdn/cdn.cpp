@@ -1,9 +1,11 @@
+// lint-hot-path (CDN mapping runs on every CDN-edge DNS query)
 #include "cdn/cdn.h"
 
 #include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/contract.h"
 #include "util/index.h"
 
 namespace curtain::cdn {
@@ -43,7 +45,7 @@ constexpr double kRotationBucketSeconds = 30.0;
 
 }  // namespace
 
-CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,
+CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,  // lint: hot-alloc (constructor sink moved into provider_name_)
                          const CdnBuildContext& context,
                          int replicas_per_cluster, uint32_t answer_ttl_s)
     : provider_name_(std::move(name)),
@@ -121,22 +123,40 @@ void CdnProvider::build_clusters(const CdnBuildContext& context,
       add_metro(metro, "KR");
     }
   }
+  for (const auto& cluster : clusters_) {
+    const int pool = pool_index(cluster.country);
+    if (pool >= 0) {
+      country_pools_[util::idx(pool)].clusters.push_back(cluster.index);
+    } else {
+      country_pools_.push_back(CountryPool{cluster.country, {cluster.index}});
+    }
+  }
+}
+
+int CdnProvider::pool_index(std::string_view country) const {
+  for (size_t p = 0; p < country_pools_.size(); ++p) {
+    if (country_pools_[p].country == country) return static_cast<int>(p);
+  }
+  return -1;
 }
 
 dns::DnsName CdnProvider::add_customer(const std::string& label) {
-  customers_[label] = true;
+  customers_.insert(label);
   return *zone_apex_.child(label);
 }
 
 void CdnProvider::add_prefix_hint(net::Prefix slash24,
                                   const net::GeoPoint& location,
                                   const std::string& country) {
-  prefix_hints_[slash24.address().value()] = Hint{location, country};
+  Hint& hint = prefix_hints_[slash24.address().value()];
+  hint.location = location;
+  hint.country = country;
+  hint.cluster.store(-1, std::memory_order_relaxed);
 }
 
 void CdnProvider::add_prefix_country(net::Prefix slash24,
                                      const std::string& country) {
-  prefix_countries_[slash24.address().value()] = country;
+  prefix_pools_[slash24.address().value()] = pool_index(country);
 }
 
 const ReplicaCluster& CdnProvider::nearest_cluster(
@@ -156,26 +176,37 @@ const ReplicaCluster& CdnProvider::nearest_cluster(
 
 const ReplicaCluster& CdnProvider::cluster_for_resolver(
     net::Ipv4Addr resolver_ip) const {
-  const uint32_t slash24 = resolver_ip.slash24().value();
+  bool hinted = false;
+  return map_slash24(resolver_ip.slash24().value(), hinted);
+}
+
+const ReplicaCluster& CdnProvider::map_slash24(uint32_t slash24,
+                                               bool& hinted) const {
   const auto hint = prefix_hints_.find(slash24);
-  if (hint != prefix_hints_.end()) {
+  hinted = hint != prefix_hints_.end();
+  if (hinted) {
     // Measurable prefix: latency-aware mapping to the nearest cluster.
-    return nearest_cluster(hint->second.location, hint->second.country);
+    const Hint& measured = hint->second;
+    int cluster = measured.cluster.load(std::memory_order_acquire);
+    if (cluster < 0) {
+      cluster = nearest_cluster(measured.location, measured.country).index;
+      measured.cluster.store(cluster, std::memory_order_release);
+    }
+    return clusters_[util::idx(cluster)];
   }
   // Opaque prefix (cellular): nothing to measure behind the ingress.
   // Address registration (WHOIS) still reveals the country, so the
   // assignment is a sticky hash over that country's clusters — stable per
   // /24 (Fig. 10) but uncorrelated with where the clients actually are
   // (Fig. 2's penalties).
+  const auto registered = prefix_pools_.find(slash24);
+  const int pool = registered == prefix_pools_.end() ? pool_index("US")
+                                                     : registered->second;
+  CURTAIN_CHECK(pool >= 0) << "/24 " << net::Ipv4Addr(slash24).to_string()
+                           << " is registered to a country without clusters";
+  const std::vector<int>& candidates = country_pools_[util::idx(pool)].clusters;
   const uint64_t h = net::mix_key(seed_, slash24);
-  const auto country_it = prefix_countries_.find(slash24);
-  const std::string country =
-      country_it == prefix_countries_.end() ? "US" : country_it->second;
-  std::vector<int> pool;
-  for (const auto& cluster : clusters_) {
-    if (cluster.country == country) pool.push_back(cluster.index);
-  }
-  return clusters_[util::idx(pool[h % pool.size()])];
+  return clusters_[util::idx(candidates[h % candidates.size()])];
 }
 
 const ReplicaCluster* CdnProvider::cluster_of_replica(
@@ -196,8 +227,7 @@ std::vector<dns::ResourceRecord> CdnProvider::answer_query(
       question.name.label_count() != zone_apex_.label_count() + 1) {
     return {};
   }
-  const std::string customer(question.name.label(0));
-  if (customers_.find(customer) == customers_.end()) return {};
+  if (customers_.find(question.name.label(0)) == customers_.end()) return {};
 
   // RFC 7871: when the resolver discloses the client's subnet, map by the
   // client; otherwise fall back to the resolver's address — the paper-era
@@ -207,10 +237,9 @@ std::vector<dns::ResourceRecord> CdnProvider::answer_query(
   span.finish(now.millis());  // hop marker; cost charged by the transport
   cdn_metrics().lookups.inc();
   if (ecs) cdn_metrics().ecs_mapped.inc();
-  if (prefix_hints_.find(map_key.slash24().value()) != prefix_hints_.end()) {
-    cdn_metrics().hinted.inc();
-  }
-  const ReplicaCluster& cluster = cluster_for_resolver(map_key);
+  bool hinted = false;
+  const ReplicaCluster& cluster = map_slash24(map_key.slash24().value(), hinted);
+  if (hinted) cdn_metrics().hinted.inc();
   // Rotate through the cluster per (mapped /24, name, time bucket).
   const auto bucket = static_cast<uint64_t>(now.seconds() / kRotationBucketSeconds);
   const uint64_t base = net::mix_key(

@@ -14,8 +14,12 @@
 //   * answers rotate through the cluster with short TTLs.
 #pragma once
 
+#include <atomic>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -60,7 +64,8 @@ class CdnProvider {
 
   /// Tells the mapper where a resolver /24 *measurably* is. Registered for
   /// public-DNS sites and externally reachable (DMZ) carrier resolvers;
-  /// opaque cellular prefixes never get hints.
+  /// opaque cellular prefixes never get hints. The /24 maps to
+  /// nearest_cluster(location, country), chosen on its first lookup.
   void add_prefix_hint(net::Prefix slash24, const net::GeoPoint& location,
                        const std::string& country);
 
@@ -69,7 +74,8 @@ class CdnProvider {
   /// a sticky per-/24 hash over this country's clusters.
   void add_prefix_country(net::Prefix slash24, const std::string& country);
 
-  /// The cluster the mapper assigns to `resolver_ip`'s /24.
+  /// The cluster the mapper assigns to `resolver_ip`'s /24: a table
+  /// lookup, no allocation.
   const ReplicaCluster& cluster_for_resolver(net::Ipv4Addr resolver_ip) const;
 
   const std::vector<ReplicaCluster>& clusters() const { return clusters_; }
@@ -83,6 +89,8 @@ class CdnProvider {
                                         const std::string& country) const;
 
  private:
+  friend struct CdnProviderPeer;  // tests: the mapping's reference model
+
   std::vector<dns::ResourceRecord> answer_query(
       const dns::Question& question, net::Ipv4Addr resolver_ip,
       const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now,
@@ -90,19 +98,40 @@ class CdnProvider {
 
   void build_clusters(const CdnBuildContext& context, int replicas_per_cluster);
 
+  /// The mapping for one /24 base; sets `hinted` when the /24 is
+  /// measurable (latency-mapped) rather than opaque.
+  const ReplicaCluster& map_slash24(uint32_t slash24, bool& hinted) const;
+
+  /// Cluster indices of one WHOIS country, in index order: the candidate
+  /// pool an opaque /24 of that country hashes into.
+  struct CountryPool {
+    std::string country;
+    std::vector<int> clusters;
+  };
+  /// Index of `country`'s pool in country_pools_; -1 if no cluster is in
+  /// that country.
+  int pool_index(std::string_view country) const;
+
   std::string provider_name_;
   dns::DnsName zone_apex_;
   uint64_t seed_ = 0;
   uint32_t answer_ttl_s_;
   std::vector<ReplicaCluster> clusters_;
   std::unordered_map<uint32_t, int> cluster_by_replica_slash24_;
+  std::vector<CountryPool> country_pools_;  ///< fixed after build_clusters
   struct Hint {
     net::GeoPoint location;
     std::string country;
+    /// nearest_cluster(location, country).index; -1 until the first
+    /// lookup. Racing first lookups compute the same index, so a plain
+    /// store publishes it.
+    mutable std::atomic<int> cluster{-1};
   };
   std::unordered_map<uint32_t, Hint> prefix_hints_;  ///< /24 base -> hint
-  std::unordered_map<uint32_t, std::string> prefix_countries_;
-  std::unordered_map<std::string, bool> customers_;
+  /// /24 base -> pool_index of its WHOIS country; unregistered /24s use
+  /// the US pool.
+  std::unordered_map<uint32_t, int> prefix_pools_;
+  std::set<std::string, std::less<>> customers_;
   dns::AuthoritativeServer* adns_ = nullptr;  ///< owned by the hierarchy
 };
 

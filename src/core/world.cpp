@@ -59,6 +59,9 @@ World::World(Scenario config)
   build_public_dns();
   build_carriers();
   register_cdn_hints();
+  // Every egress node exists now.
+  google_->index_egresses(topology_.node_count());
+  opendns_->index_egresses(topology_.node_count());
   // No routes are computed here: a source's shortest-path tree is built
   // on its first query and then shared by every worker.
 }
@@ -199,19 +202,14 @@ void World::build_public_dns() {
   context.warm_eligible = [research](const dns::DnsName& name) {
     return !name.is_within(research);
   };
-  // Anycast ingress follows the querying prefix's egress location, which
-  // for subscribers is their carrier gateway.
-  context.locate_source =
-      [this](net::Ipv4Addr source) -> std::optional<GeoPoint> {
+  // Anycast ingress follows the querying prefix's egress, which for
+  // subscribers is their carrier gateway.
+  context.locate_egress = [this](net::Ipv4Addr source) {
     for (const auto& carrier : carriers_) {
       const int gateway = carrier->gateway_of_ip(source);
-      if (gateway >= 0) {
-        return topology_.node(carrier->gateway_node(gateway)).location;
-      }
+      if (gateway >= 0) return carrier->gateway_node(gateway);
     }
-    const net::NodeId node = topology_.find_by_ip(source);
-    if (node != net::kInvalidNode) return topology_.node(node).location;
-    return std::nullopt;
+    return topology_.find_by_ip(source);
   };
 
   context.ecs_enabled = config_.google_ecs;

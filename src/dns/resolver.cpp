@@ -1,7 +1,6 @@
 #include "dns/resolver.h"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -232,26 +231,40 @@ std::optional<Message> RecursiveResolver::query_server(
 void RecursiveResolver::cache_response_sections(const Message& response,
                                                 net::SimTime now,
                                                 uint32_t answer_scope) {
-  std::map<std::pair<DnsName, RRType>, std::vector<ResourceRecord>> answers;
-  std::map<std::pair<DnsName, RRType>, std::vector<ResourceRecord>> metadata;
-  for (const auto& rr : response.answers) {
-    answers[{rr.name, rr.type()}].push_back(rr);
-  }
-  for (const auto* section : {&response.authorities, &response.additionals}) {
-    for (const auto& rr : *section) {
-      metadata[{rr.name, rr.type()}].push_back(rr);
-    }
-  }
-  // Tailored answers are valid only for this client's subnet; referral
-  // metadata (NS, glue) is subnet-independent.
+  // Each section's records grouped by (name, type): groups in key order,
+  // records in section order within a group. One index, reused per call.
+  thread_local std::vector<const ResourceRecord*> index;
+  const auto key_less = [](const ResourceRecord* a, const ResourceRecord* b) {
+    if (a->name < b->name) return true;
+    if (b->name < a->name) return false;
+    return a->type() < b->type();
+  };
   Cache& cache = lane_state().cache;
-  for (auto& [key, rrs] : answers) {
-    cache.insert(key.first, key.second, std::move(rrs), now, answer_scope);
+  const auto insert_groups = [&](uint32_t scope, bool skip_soa) {
+    std::stable_sort(index.begin(), index.end(), key_less);
+    for (size_t begin = 0; begin < index.size();) {
+      size_t end = begin + 1;
+      while (end < index.size() && !key_less(index[begin], index[end])) ++end;
+      const ResourceRecord& first = *index[begin];
+      if (!skip_soa || first.type() != RRType::kSOA) {
+        std::vector<ResourceRecord> rrs;
+        rrs.reserve(end - begin);
+        for (size_t i = begin; i < end; ++i) rrs.push_back(*index[i]);
+        cache.insert(first.name, first.type(), std::move(rrs), now, scope);
+      }
+      begin = end;
+    }
+    index.clear();
+  };
+  // Tailored answers are valid only for this client's subnet; referral
+  // metadata (NS, glue) is subnet-independent. SOA metadata is for
+  // negative caching and is not cached as an rrset.
+  for (const auto& rr : response.answers) index.push_back(&rr);
+  insert_groups(answer_scope, false);
+  for (const auto* section : {&response.authorities, &response.additionals}) {
+    for (const auto& rr : *section) index.push_back(&rr);
   }
-  for (auto& [key, rrs] : metadata) {
-    if (key.second == RRType::kSOA) continue;  // negative-caching metadata
-    cache.insert(key.first, key.second, std::move(rrs), now);
-  }
+  insert_groups(0, true);
 }
 
 std::optional<DnsName> RecursiveResolver::iterate(

@@ -1,7 +1,9 @@
+// lint-hot-path (anycast ingress selection runs on every public-DNS query)
 #include "publicdns/public_dns.h"
 
 #include <algorithm>
 
+#include "util/contract.h"
 #include "util/index.h"
 
 namespace curtain::publicdns {
@@ -10,8 +12,13 @@ namespace {
 // Anycast ingress re-evaluates on this period: tunneling and BGP churn
 // shift which site a subscriber prefix lands on (Fig. 12's /24 changes).
 constexpr double kIngressEpochHours = 8.0;
-// How many nearby sites a source realistically flips between.
-constexpr int kIngressCandidates = 4;
+// How many nearby sites a source realistically flips between; a ranking
+// packs them one byte each into a 32-bit word.
+constexpr size_t kIngressCandidates = 4;
+// The closest site wins most epochs; occasionally routing lands further
+// out.
+constexpr double kIngressWeights[kIngressCandidates] = {0.70, 0.16, 0.09,
+                                                        0.05};
 // Mean per-name background re-fetch interval at a public-DNS site.
 // Public resolvers serve enormous populations, so popular names are
 // nearly always warm (30 s TTL -> ~93%; Fig. 13's short tail).
@@ -19,15 +26,18 @@ constexpr double kPublicBgInterarrivalS = 2.3;
 
 }  // namespace
 
-PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
+PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,  // lint: hot-alloc (constructor sink moved into name_)
                                    int num_sites, int instances_per_site,
                                    const PublicDnsBuildContext& context)
     : name_(std::move(name)),
       vip_(vip),
-      locate_source_(context.locate_source),
+      topology_(context.topology),
+      locate_egress_(context.locate_egress),
       seed_(net::mix_key(context.build_seed, net::hash_tag(name_))) {
   const auto& metros = net::world_metros();
   const int sites = std::min<int>(num_sites, static_cast<int>(metros.size()));
+  // A ranking stores site index + 1 in one byte.
+  CURTAIN_CHECK(sites > 0 && sites < 256) << name_ << ": " << sites << " sites";
   sites_.reserve(util::idx(sites));
   for (int s = 0; s < sites; ++s) {
     PublicDnsSite site;
@@ -53,7 +63,7 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
     for (int i = 0; i < instances_per_site; ++i) {
       const net::Ipv4Addr instance_ip =
           context.allocator->alloc_host(site.prefix);
-      site.instances.push_back(std::make_unique<dns::RecursiveResolver>(
+      site.instances.push_back(std::make_unique<dns::RecursiveResolver>(  // lint: hot-alloc (world build)
           node.name + "-i" + std::to_string(i), node_id, instance_ip,
           context.topology, context.registry, context.root_dns_ip));
       site.instances.back()->set_state_lanes(
@@ -80,36 +90,64 @@ obs::LaneMemory PublicDnsService::approx_lane_bytes() const {
   return memory;
 }
 
-int PublicDnsService::route_site(net::Ipv4Addr source_ip,
-                                 net::SimTime now) const {
-  const uint32_t slash24 = source_ip.slash24().value();
-  const auto egress = locate_source_ ? locate_source_(source_ip) : std::nullopt;
-  const auto epoch =
-      static_cast<uint64_t>(now.hours() / kIngressEpochHours);
-  const uint64_t draw = net::mix_key(net::mix_key(seed_, slash24), epoch);
-  if (!egress) {
-    // Unknown origin: stable pseudo-random site per /24.
-    return static_cast<int>(draw % sites_.size());
-  }
-  // Rank sites by distance to the egress; flip between the nearest few.
+void PublicDnsService::index_egresses(size_t node_count) {
+  nearest_by_egress_ = std::vector<std::atomic<uint32_t>>(node_count);
+}
+
+uint32_t PublicDnsService::rank_sites(const net::GeoPoint& egress) const {
   std::vector<std::pair<double, int>> ranked;
   ranked.reserve(sites_.size());
   for (size_t s = 0; s < sites_.size(); ++s) {
-    ranked.emplace_back(net::distance_km(*egress, sites_[s].location),
+    ranked.emplace_back(net::distance_km(egress, sites_[s].location),
                         static_cast<int>(s));
   }
-  std::sort(ranked.begin(), ranked.end());
-  const int candidates =
-      std::min<int>(kIngressCandidates, static_cast<int>(ranked.size()));
-  // Closest site wins most epochs; occasionally routing lands further out.
-  static constexpr double kWeights[] = {0.70, 0.16, 0.09, 0.05};
-  double target = static_cast<double>(draw % 10000) / 10000.0;
-  for (int c = 0; c < candidates; ++c) {
-    if (target < kWeights[c] || c == candidates - 1)
-      return ranked[util::idx(c)].second;
-    target -= kWeights[c];
+  const size_t candidates = std::min(kIngressCandidates, ranked.size());
+  const auto end = ranked.begin() + static_cast<std::ptrdiff_t>(candidates);
+  std::partial_sort(ranked.begin(), end, ranked.end());
+  uint32_t packed = 0;
+  for (size_t c = 0; c < candidates; ++c) {
+    packed |= static_cast<uint32_t>(ranked[c].second + 1) << (8 * c);
   }
-  return ranked[0].second;
+  return packed;
+}
+
+uint32_t PublicDnsService::nearest_sites(net::NodeId egress) const {
+  if (egress >= nearest_by_egress_.size()) {
+    return rank_sites(topology_->node(egress).location);
+  }
+  std::atomic<uint32_t>& slot = nearest_by_egress_[egress];
+  uint32_t packed = slot.load(std::memory_order_acquire);
+  if (packed == 0) {
+    packed = rank_sites(topology_->node(egress).location);
+    slot.store(packed, std::memory_order_release);
+  }
+  return packed;
+}
+
+int PublicDnsService::route_site(net::Ipv4Addr source_ip,
+                                 net::SimTime now) const {
+  const uint32_t slash24 = source_ip.slash24().value();
+  const net::NodeId egress =
+      locate_egress_ ? locate_egress_(source_ip) : net::kInvalidNode;
+  const auto epoch =
+      static_cast<uint64_t>(now.hours() / kIngressEpochHours);
+  const uint64_t draw = net::mix_key(net::mix_key(seed_, slash24), epoch);
+  if (egress == net::kInvalidNode) {
+    // Unknown origin: stable pseudo-random site per /24.
+    return static_cast<int>(draw % sites_.size());
+  }
+  // Flip between the sites nearest the egress.
+  const uint32_t nearest = nearest_sites(egress);
+  const auto site_at = [nearest](size_t rank) {
+    return static_cast<int>((nearest >> (8 * rank)) & 0xffu) - 1;
+  };
+  double target = static_cast<double>(draw % 10000) / 10000.0;
+  for (size_t c = 0; c < kIngressCandidates; ++c) {
+    const bool last = c + 1 == kIngressCandidates || site_at(c + 1) < 0;
+    if (target < kIngressWeights[c] || last) return site_at(c);
+    target -= kIngressWeights[c];
+  }
+  return site_at(0);
 }
 
 net::NodeId PublicDnsService::node() const {

@@ -10,6 +10,8 @@
 // them is latency-aware — the crux of the paper's headline comparison.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,9 +35,10 @@ struct PublicDnsBuildContext {
   net::IpAllocator* allocator = nullptr;
   std::function<net::NodeId(const net::GeoPoint&)> nearest_backbone;
   net::Ipv4Addr root_dns_ip;
-  /// Where a client source address appears to enter the Internet (its
-  /// egress location); drives anycast ingress selection.
-  std::function<std::optional<net::GeoPoint>(net::Ipv4Addr)> locate_source;
+  /// The node where a client source address enters the Internet (its
+  /// egress: a carrier gateway, or the node owning the address);
+  /// kInvalidNode if unknown. Drives anycast ingress selection.
+  std::function<net::NodeId(net::Ipv4Addr)> locate_egress;
   /// Names kept warm by background load; empty = all names.
   std::function<bool(const dns::DnsName&)> warm_eligible;
   /// Send EDNS client-subnet to authoritative servers (RFC 7871). Google
@@ -60,6 +63,13 @@ class PublicDnsService : public dns::DnsServer {
   const std::string& service_name() const { return name_; }
   const std::vector<PublicDnsSite>& sites() const { return sites_; }
 
+  /// Sizes the per-egress site-ranking table for every node id below
+  /// `node_count`. Call once the topology is complete and before any
+  /// query; each egress's ranking is then computed on its first query and
+  /// shared by every thread. Egresses outside the table are ranked on
+  /// every query, with the same result.
+  void index_egresses(size_t node_count);
+
   /// Approximate heap bytes of the laned state across every site's
   /// instances. A profiling gauge — see obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
@@ -79,11 +89,20 @@ class PublicDnsService : public dns::DnsServer {
   /// proximity to the source's egress with tunneling-induced instability.
   int route_site(net::Ipv4Addr source_ip, net::SimTime now) const;
 
+  /// The sites nearest `egress`, packed one byte per rank (site index + 1;
+  /// a zero byte ends the list), nearest first, ties by site index.
+  uint32_t nearest_sites(net::NodeId egress) const;
+  uint32_t rank_sites(const net::GeoPoint& egress) const;
+
   std::string name_;
   net::Ipv4Addr vip_;
-  std::function<std::optional<net::GeoPoint>(net::Ipv4Addr)> locate_source_;
+  const net::Topology* topology_;
+  std::function<net::NodeId(net::Ipv4Addr)> locate_egress_;
   uint64_t seed_ = 0;
   std::vector<PublicDnsSite> sites_;
+  /// nearest_sites per egress node id; 0 = not ranked yet. Racing first
+  /// queries compute the same word, so a plain store publishes it.
+  mutable std::vector<std::atomic<uint32_t>> nearest_by_egress_;
 };
 
 }  // namespace curtain::publicdns

@@ -47,6 +47,8 @@ double campaign_scale() {
   return scale > 1.0 ? 1.0 : scale;
 }
 
+bool campaign_scale_set() { return !env_string("CURTAIN_SCALE", "").empty(); }
+
 uint64_t study_seed() { return env_u64("CURTAIN_SEED", 20141105); }
 
 int campaign_shards() {

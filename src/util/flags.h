@@ -28,6 +28,10 @@ std::string env_string(const char* name, const std::string& fallback);
 /// CURTAIN_SCALE in (0,1]: fraction of the paper-scale campaign to run.
 double campaign_scale();
 
+/// Whether CURTAIN_SCALE is set to a non-empty value, for tools whose own
+/// default scale differs from campaign_scale()'s.
+bool campaign_scale_set();
+
 /// CURTAIN_SEED: study-wide RNG seed (default 20141105, the IMC'14 date).
 uint64_t study_seed();
 

@@ -1,13 +1,90 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
+#include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "cdn/domains.h"
 #include "core/world.h"
 #include "dns/resolver.h"
 
 namespace curtain::cdn {
+
+// Reads the mapping inputs a provider was given.
+struct CdnProviderPeer {
+  static std::vector<uint32_t> hinted_slash24s(const CdnProvider& provider) {
+    std::vector<uint32_t> out;
+    for (const auto& entry : provider.prefix_hints_) out.push_back(entry.first);
+    return out;
+  }
+  static const CdnProvider::Hint* hint(const CdnProvider& provider,
+                                       uint32_t slash24) {
+    const auto it = provider.prefix_hints_.find(slash24);
+    return it == provider.prefix_hints_.end() ? nullptr : &it->second;
+  }
+  /// The WHOIS country registered for a /24; "US" when none is.
+  static std::string country(const CdnProvider& provider, uint32_t slash24) {
+    const auto it = provider.prefix_pools_.find(slash24);
+    if (it == provider.prefix_pools_.end()) return "US";
+    return provider.country_pools_[static_cast<size_t>(it->second)].country;
+  }
+};
+
 namespace {
+
+// The /24 -> cluster mapping recomputed from scratch on every call, as
+// CdnProvider did before it kept its tables: a hinted /24 scans every
+// cluster of the hint's country for the nearest (first wins ties); an
+// opaque /24 hashes over a freshly built pool of its country's clusters.
+int reference_cluster(const CdnProvider& provider, uint64_t build_seed,
+                      net::Ipv4Addr resolver) {
+  const uint32_t slash24 = resolver.slash24().value();
+  const auto& clusters = provider.clusters();
+  if (const auto* hint = CdnProviderPeer::hint(provider, slash24)) {
+    int best = clusters.front().index;
+    double best_distance = std::numeric_limits<double>::infinity();
+    for (const auto& cluster : clusters) {
+      if (!hint->country.empty() && cluster.country != hint->country) continue;
+      const double d = net::distance_km(hint->location, cluster.location);
+      if (d < best_distance) {
+        best_distance = d;
+        best = cluster.index;
+      }
+    }
+    return best;
+  }
+  const uint64_t seed =
+      net::mix_key(build_seed, net::hash_tag(provider.name()));
+  const uint64_t h = net::mix_key(seed, slash24);
+  const std::string country = CdnProviderPeer::country(provider, slash24);
+  std::vector<int> pool;
+  for (const auto& cluster : clusters) {
+    if (cluster.country == country) pool.push_back(cluster.index);
+  }
+  return pool[h % pool.size()];
+}
+
+// Every /24 the mapping sees in a campaign and then some: each hinted /24
+// (gateway pools, carrier external resolvers, public DNS sites), the
+// client-facing resolvers' opaque /24s, and `extra` more.
+std::vector<net::Ipv4Addr> mapping_resolvers(
+    const core::World& world, const CdnProvider& provider,
+    const std::vector<net::Ipv4Addr>& extra) {
+  std::vector<net::Ipv4Addr> out;
+  for (const uint32_t slash24 : CdnProviderPeer::hinted_slash24s(provider)) {
+    out.push_back(net::Ipv4Addr(slash24 | 7u));
+  }
+  for (const auto& carrier : world.carriers()) {
+    for (const auto& resolver : carrier->client_resolvers()) {
+      out.push_back(resolver->ip());
+    }
+  }
+  out.insert(out.end(), extra.begin(), extra.end());
+  return out;
+}
 
 class CdnTest : public ::testing::Test {
  protected:
@@ -198,6 +275,63 @@ TEST_F(CdnTest, RotationVariesWithinCluster) {
   // The 30 s rotation should cycle through more than one response's worth
   // of replicas inside an hour.
   EXPECT_GT(replicas_seen.size(), 2u);
+}
+
+TEST_F(CdnTest, MappingTablesMatchReferenceModel) {
+  // Opaque /24s registered to each country, and some registered nowhere.
+  std::vector<net::Ipv4Addr> opaque;
+  for (uint32_t i = 0; i < 48; ++i) {
+    const net::Ipv4Addr address(198, 19, static_cast<uint8_t>(i), 9);
+    if (i % 3 != 2) {
+      for (const auto& [name, provider] : world_->cdns()) {
+        provider->add_prefix_country(net::Prefix(address.slash24(), 24),
+                                     i % 3 == 0 ? "US" : "KR");
+      }
+    }
+    opaque.push_back(address);
+  }
+  const uint64_t seed = world_->config().seed;
+  for (const auto& [name, provider] : world_->cdns()) {
+    const auto resolvers = mapping_resolvers(*world_, *provider, opaque);
+    ASSERT_GT(CdnProviderPeer::hinted_slash24s(*provider).size(), 300u);
+    for (const net::Ipv4Addr resolver : resolvers) {
+      // Twice: the first lookup may fill a table entry, the second reads it.
+      for (int pass = 0; pass < 2; ++pass) {
+        ASSERT_EQ(provider->cluster_for_resolver(resolver).index,
+                  reference_cluster(*provider, seed, resolver))
+            << name << " " << resolver.to_string() << " pass " << pass;
+      }
+    }
+  }
+}
+
+TEST(MappingTableConcurrency, CdnHintClustersFirstTouch) {
+  // Eight threads race to map every /24 of a fresh world; each must see
+  // the reference cluster whichever thread filled the entry.
+  core::World world;
+  const CdnProvider& provider = world.cdn("curtaincdn");
+  const auto resolvers = mapping_resolvers(world, provider, {});
+  std::vector<int> expected;
+  for (const net::Ipv4Addr resolver : resolvers) {
+    expected.push_back(
+        reference_cluster(provider, world.config().seed, resolver));
+  }
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < resolvers.size(); ++i) {
+        const size_t r =
+            (i + t * resolvers.size() / kThreads) % resolvers.size();
+        if (provider.cluster_for_resolver(resolvers[r]).index != expected[r]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

@@ -317,5 +317,26 @@ TEST(ScenarioSetters, WithScaleShardsAndCohortsClampLikeEnv) {
   EXPECT_EQ(scenario.with_cohorts(7).cohorts, 7);
 }
 
+TEST(EnvFlags, CampaignScaleSetOnlyWhenNonEmpty) {
+  {
+    ScopedEnv clear("CURTAIN_SCALE", nullptr);
+    EXPECT_FALSE(util::campaign_scale_set());
+  }
+  {
+    ScopedEnv empty("CURTAIN_SCALE", "");
+    EXPECT_FALSE(util::campaign_scale_set());
+  }
+  {
+    // Set but unparsable still counts as set; campaign_scale() then
+    // falls back to its own default.
+    ScopedEnv bad("CURTAIN_SCALE", "lots");
+    EXPECT_TRUE(util::campaign_scale_set());
+    EXPECT_EQ(util::campaign_scale(), 0.05);
+  }
+  ScopedEnv set("CURTAIN_SCALE", "0.2");
+  EXPECT_TRUE(util::campaign_scale_set());
+  EXPECT_EQ(util::campaign_scale(), 0.2);
+}
+
 }  // namespace
 }  // namespace curtain

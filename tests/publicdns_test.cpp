@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <optional>
 #include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/world.h"
 #include "dns/stub.h"
@@ -20,6 +26,91 @@ class PublicDnsTest : public ::testing::Test {
 };
 
 core::World* PublicDnsTest::world_ = nullptr;
+
+// The anycast mapping recomputed from scratch on every call, as
+// PublicDnsService did before it kept per-egress rankings: find the
+// egress location by scanning the carriers' gateway pools, else the node
+// owning the address; rank every site by (distance, index); walk the
+// epoch draw over the nearest four.
+net::NodeId reference_node_for(const core::World& world,
+                               const PublicDnsService& service,
+                               net::Ipv4Addr source, net::SimTime now) {
+  const net::Topology& topology = world.topology();
+  std::optional<net::GeoPoint> egress;
+  for (const auto& carrier : world.carriers()) {
+    const int gateway = carrier->gateway_of_ip(source);
+    if (gateway >= 0) {
+      egress = topology.node(carrier->gateway_node(gateway)).location;
+      break;
+    }
+  }
+  if (!egress) {
+    const net::NodeId node = topology.find_by_ip(source);
+    if (node != net::kInvalidNode) egress = topology.node(node).location;
+  }
+  const auto& sites = service.sites();
+  const uint64_t seed = net::mix_key(world.config().seed,
+                                     net::hash_tag(service.service_name()));
+  const auto epoch = static_cast<uint64_t>(now.hours() / 8.0);
+  const uint64_t draw =
+      net::mix_key(net::mix_key(seed, source.slash24().value()), epoch);
+  size_t site = draw % sites.size();
+  if (egress) {
+    std::vector<std::pair<double, int>> ranked;
+    for (size_t s = 0; s < sites.size(); ++s) {
+      ranked.emplace_back(net::distance_km(*egress, sites[s].location),
+                          static_cast<int>(s));
+    }
+    std::sort(ranked.begin(), ranked.end());
+    const size_t candidates = std::min<size_t>(4, ranked.size());
+    const double weights[] = {0.70, 0.16, 0.09, 0.05};
+    double target = static_cast<double>(draw % 10000) / 10000.0;
+    for (size_t c = 0; c < candidates; ++c) {
+      site = static_cast<size_t>(ranked[c].second);
+      if (target < weights[c]) break;
+      target -= weights[c];
+    }
+  }
+  return sites[site].instances.front()->node();
+}
+
+// Sources of every kind the anycast mapping sees: an address in every
+// gateway pool (the subscribers), every CDN-hinted resolver /24 (public
+// DNS instances and carrier external resolvers), the carriers'
+// client-facing resolvers of both countries, and addresses nothing owns.
+std::vector<net::Ipv4Addr> mapping_sources(core::World& world, net::Rng& rng) {
+  std::vector<net::Ipv4Addr> sources;
+  for (size_t c = 0; c < world.carriers().size(); ++c) {
+    auto& carrier = world.carrier(c);
+    for (int g = 0; g < carrier.num_gateways(); ++g) {
+      sources.push_back(carrier.assign_ip(g, rng));
+    }
+    for (const auto& resolver : carrier.external_resolvers()) {
+      sources.push_back(resolver->ip());
+    }
+    for (const auto& resolver : carrier.client_resolvers()) {
+      sources.push_back(resolver->ip());
+    }
+  }
+  for (const auto* service : {&world.google_dns(), &world.open_dns()}) {
+    for (const auto& site : service->sites()) {
+      for (const auto& instance : site.instances) {
+        sources.push_back(instance->ip());
+      }
+    }
+  }
+  for (uint32_t i = 0; i < 64; ++i) {
+    sources.push_back(net::Ipv4Addr(static_cast<uint32_t>(
+        rng.uniform_u64(0, UINT32_MAX))));
+  }
+  return sources;
+}
+
+constexpr int kIngressEpochs = 60;
+
+net::SimTime epoch_time(int epoch) {
+  return net::SimTime::from_hours(8.0 * epoch + 3.5);
+}
 
 TEST_F(PublicDnsTest, GoogleHasThirtyDistinctSlash24Sites) {
   const auto& sites = world_->google_dns().sites();
@@ -112,6 +203,63 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->header.rcode, dns::Rcode::kNoError);
   }
+}
+
+TEST_F(PublicDnsTest, RankingTablesMatchReferenceModel) {
+  const auto sources = mapping_sources(*world_, rng_);
+  size_t gateway_sources = 0;
+  for (const net::Ipv4Addr source : sources) {
+    for (const auto& carrier : world_->carriers()) {
+      if (carrier->gateway_of_ip(source) >= 0) ++gateway_sources;
+    }
+  }
+  ASSERT_GT(gateway_sources, 200u);
+  for (const auto* service : {&world_->google_dns(), &world_->open_dns()}) {
+    for (const net::Ipv4Addr source : sources) {
+      for (int epoch = 0; epoch < kIngressEpochs; ++epoch) {
+        const net::SimTime now = epoch_time(epoch);
+        ASSERT_EQ(service->node_for(source, now),
+                  reference_node_for(*world_, *service, source, now))
+            << service->service_name() << " " << source.to_string()
+            << " epoch " << epoch;
+      }
+    }
+  }
+}
+
+TEST(MappingTableConcurrency, AnycastRankingsFirstTouch) {
+  // Eight threads race to rank every egress of a fresh world; each must
+  // see the reference mapping whichever thread published the ranking.
+  core::World world;
+  net::Rng rng(77);
+  const auto sources = mapping_sources(world, rng);
+  const PublicDnsService& service = world.google_dns();
+  std::vector<net::NodeId> expected;
+  for (const net::Ipv4Addr source : sources) {
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      expected.push_back(
+          reference_node_for(world, service, source, epoch_time(epoch)));
+    }
+  }
+  constexpr size_t kThreads = 8;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < sources.size(); ++i) {
+        // Each thread starts at a different source so first touches race.
+        const size_t s = (i + t * sources.size() / kThreads) % sources.size();
+        for (int epoch = 0; epoch < 4; ++epoch) {
+          if (service.node_for(sources[s], epoch_time(epoch)) !=
+              expected[s * 4 + static_cast<size_t>(epoch)]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace
