@@ -54,6 +54,13 @@ if [ "$SUITE" = "cohort_scaling" ]; then
   SWEEP_SCALE="${CURTAIN_BENCH_SCALE:-0.1}"
   cmake --build "$BUILD" -j "$(nproc)" --target micro_shards >/dev/null
   echo "[bench_baseline] label=$LABEL suite=cohort_scaling scale=$SWEEP_SCALE -> $OUT" >&2
+  # Host stamp: the walls mean nothing without the cores they ran on.
+  # CMakeLists.txt defaults an unset build type to RelWithDebInfo.
+  build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' "$BUILD/CMakeCache.txt")"
+  cpu_model="$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -1)"
+  printf '{"label":"%s","bench_series":"cohort_scaling_host","nproc":%s,"cpu_model":"%s","compiler":"%s","build_type":"%s","scale":%s}\n' \
+    "$LABEL" "$(nproc)" "$cpu_model" "$(c++ --version | head -1)" \
+    "${build_type:-RelWithDebInfo}" "$SWEEP_SCALE" >>"$OUT"
   CURTAIN_SCALE="$SWEEP_SCALE" "./$BUILD/bench/micro_shards" \
     | tee /dev/stderr | annotate_records >>"$OUT"
   echo "[bench_baseline] appended $(grep -c . "$OUT") total lines in $OUT" >&2

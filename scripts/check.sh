@@ -3,11 +3,12 @@
 #
 #   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan,
 #                             # dns-wire, lint, bench-smoke, profile-smoke,
-#                             # rss-smoke, perfbench-smoke)
+#                             # rss-smoke, perfbench-smoke,
+#                             # perfbench-reference)
 #   scripts/check.sh plain    # just one leg: plain | sanitize | tsan
 #                             #   | dns-wire | lint | bench-smoke
 #                             #   | profile-smoke | rss-smoke
-#                             #   | perfbench-smoke
+#                             #   | perfbench-smoke | perfbench-reference
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -62,6 +63,14 @@
 #             BENCHMARK.json workload at toy size, failing on a schema,
 #             correctness or repeatability break, so a src/ change that
 #             breaks the benchmark fails here in seconds.
+#   perfbench-reference
+#             runs both BENCHMARK.json workloads at full size, at the
+#             default seed 20141105 and the held-out seed 20150226, and
+#             fails unless every run's exports, report.md and counter
+#             vector match perfbench/reference.json byte for byte — the
+#             gate for "campaign outputs unchanged". The reference was
+#             recorded with g++ 12.2 on Debian 12; another compiler or
+#             libm may legitimately produce other digests.
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -198,6 +207,27 @@ perfbench_smoke_leg() {
   python3 perfbench/selftest.py
 }
 
+perfbench_reference_leg() {
+  run_leg "perfbench reference (full-size workloads vs perfbench/reference.json)"
+  local workload seed verdict
+  for workload in paper_report fleet_export; do
+    for seed in 20141105 20150226; do
+      verdict="$(python3 perfbench/run.py --workload "$workload" \
+        --seed "$seed" --seconds 0 | tail -n 1)"
+      # run.py exits 0 whether or not the outputs matched; its verdict is
+      # the "correct" field of the last line it prints.
+      if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+          "$verdict"; then
+        echo "perfbench-reference: $workload seed $seed differs from" \
+          "perfbench/reference.json: $verdict" >&2
+        exit 1
+      fi
+      echo "perfbench-reference: $workload seed $seed ok"
+    done
+  done
+}
+
 case "$LEG" in
   plain)    plain_leg ;;
   sanitize) sanitize_leg ;;
@@ -208,6 +238,7 @@ case "$LEG" in
   profile-smoke) profile_smoke_leg ;;
   rss-smoke) rss_smoke_leg ;;
   perfbench-smoke) perfbench_smoke_leg ;;
+  perfbench-reference) perfbench_reference_leg ;;
   all)
     plain_leg
     sanitize_leg
@@ -218,11 +249,12 @@ case "$LEG" in
     profile_smoke_leg
     rss_smoke_leg
     perfbench_smoke_leg
+    perfbench_reference_leg
     echo
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|dns-wire|lint|bench-smoke|profile-smoke|rss-smoke|perfbench-smoke|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|dns-wire|lint|bench-smoke|profile-smoke|rss-smoke|perfbench-smoke|perfbench-reference|all]" >&2
     exit 2
     ;;
 esac

@@ -296,39 +296,33 @@ void CellularNetwork::build_dns(const CarrierBuildContext& context) {
     client_blocks.push_back(allocator_->alloc_block(24));
   }
 
-  // External resolver sites: collocated with every region, or a handful of
-  // central sites (this is what makes externals measurably farther from
-  // clients than the client tier, Fig. 4).
-  std::vector<int> site_regions;
-  if (dns_cfg.externals_collocated) {
-    for (size_t r = 0; r < regions_.size(); ++r) site_regions.push_back(int(r));
-  } else {
-    // Sites are spread geographically (farthest-point sampling from the
-    // largest region) so every subscriber has a site within regional
-    // distance (Fig. 4's moderate client/external latency gap) and sites
-    // are genuinely distinct locations (Fig. 10's disjoint replica sets).
-    const int sites =
-        std::min<int>(dns_cfg.external_sites, static_cast<int>(regions_.size()));
-    site_regions.push_back(0);
-    while (static_cast<int>(site_regions.size()) < sites) {
-      int best_region = -1;
-      double best_spread = -1.0;
-      for (size_t r = 0; r < regions_.size(); ++r) {
-        double nearest_site = 1e18;
-        for (const int s : site_regions) {
-          nearest_site = std::min(
-              nearest_site,
-              net::distance_km(regions_[r].location, regions_[util::idx(s)].location));
-        }
-        if (nearest_site > best_spread) {
-          best_spread = nearest_site;
-          best_region = static_cast<int>(r);
-        }
+  // External resolver sites: a handful of central sites (this is what
+  // makes externals measurably farther from clients than the client tier,
+  // Fig. 4). Sites are spread geographically (farthest-point sampling from
+  // the largest region) so every subscriber has a site within regional
+  // distance (Fig. 4's moderate client/external latency gap) and sites are
+  // genuinely distinct locations (Fig. 10's disjoint replica sets).
+  const int sites =
+      std::min<int>(dns_cfg.external_sites, static_cast<int>(regions_.size()));
+  std::vector<int> site_regions{0};
+  while (static_cast<int>(site_regions.size()) < sites) {
+    int best_region = -1;
+    double best_spread = -1.0;
+    for (size_t r = 0; r < regions_.size(); ++r) {
+      double nearest_site = 1e18;
+      for (const int s : site_regions) {
+        nearest_site = std::min(
+            nearest_site,
+            net::distance_km(regions_[r].location, regions_[util::idx(s)].location));
       }
-      site_regions.push_back(best_region);
+      if (nearest_site > best_spread) {
+        best_spread = nearest_site;
+        best_region = static_cast<int>(r);
+      }
     }
-    std::sort(site_regions.begin(), site_regions.end());
+    site_regions.push_back(best_region);
   }
+  std::sort(site_regions.begin(), site_regions.end());
 
   const int externally_reachable = static_cast<int>(
       profile_.reach.external_answers_external_fraction *
@@ -443,7 +437,7 @@ void CellularNetwork::build_dns(const CarrierBuildContext& context) {
       node.location = region.location;
       node.ip = ip;
       node.owner_tag = owner_tag_;
-      node.ping_from_same_owner = profile_.reach.client_answers_internal;
+      node.ping_from_same_owner = true;  // every carrier's client tier does
       node.ping_from_other_owner = false;  // behind the carrier firewall
       node.responds_to_traceroute = false;
       node.processing = LatencyModel::jittered(0.5, 0.3);

@@ -211,11 +211,4 @@ const std::vector<CarrierProfile>& xu_era_carriers() {
   return carriers;
 }
 
-const CarrierProfile* find_carrier(const std::string& name) {
-  for (const auto& carrier : study_carriers()) {
-    if (carrier.name == name) return &carrier;
-  }
-  return nullptr;
-}
-
 }  // namespace curtain::cellular

@@ -35,17 +35,12 @@ struct DnsArchitecture {
   double pairing_consistency = 0.8;
   /// Mean interval between re-draws of a device's home external resolver.
   net::SimTime repair_epoch_mean = net::SimTime::from_days(3);
-  /// Externals are collocated with every region's client instances, vs
-  /// pulled back to a handful of sites (the usual deployment; SK Telecom
-  /// uses two sites whose small-country distances read as collocated).
-  bool externals_collocated = false;
-  /// Central external sites when not collocated.
+  /// Central sites the externals are pulled back to (SK Telecom uses two
+  /// sites whose small-country distances read as collocated).
   int external_sites = 4;
 };
 
 struct ReachabilityPolicy {
-  /// Client-facing resolvers answer subscriber pings (all carriers do).
-  bool client_answers_internal = true;
   /// External-facing resolvers answer subscriber pings (false for
   /// Verizon and LG U+ — Figs. 4/11 could not measure them).
   bool external_answers_internal = true;
@@ -92,9 +87,6 @@ struct CarrierProfile {
 /// The six carriers of the study, in the paper's habitual order:
 /// AT&T, Sprint, T-Mobile, Verizon, SK Telecom, LG U+.
 const std::vector<CarrierProfile>& study_carriers();
-
-/// Profile by name; nullptr if unknown.
-const CarrierProfile* find_carrier(const std::string& name);
 
 /// The 3G-era baseline the paper positions itself against (Xu et al.,
 /// SIGMETRICS'11): the same four US carriers circa 2011 — 4-6 egress

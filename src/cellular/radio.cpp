@@ -1,5 +1,7 @@
 #include "cellular/radio.h"
 
+#include <vector>
+
 namespace curtain::cellular {
 namespace {
 
@@ -54,15 +56,6 @@ const RadioProfile& radio_profile(RadioTech tech) {
     if (profile.tech == tech) return profile;
   }
   return profiles().front();  // unreachable for valid enum values
-}
-
-const std::vector<RadioTech>& all_radio_techs() {
-  static const std::vector<RadioTech> techs = [] {
-    std::vector<RadioTech> out;
-    for (const auto& profile : profiles()) out.push_back(profile.tech);
-    return out;
-  }();
-  return techs;
 }
 
 const char* radio_tech_name(RadioTech tech) {

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "net/latency.h"
 #include "net/rng.h"
@@ -50,9 +49,6 @@ struct RadioProfile {
 /// Static profile for a technology (calibrated to Fig. 3's bands).
 const RadioProfile& radio_profile(RadioTech tech);
 
-/// All modeled technologies.
-const std::vector<RadioTech>& all_radio_techs();
-
 const char* radio_tech_name(RadioTech tech);
 RadioGeneration radio_generation(RadioTech tech);
 
@@ -66,8 +62,6 @@ class RrcState {
 
   /// True if the radio would need promotion for traffic at `now`.
   bool is_idle(RadioTech tech, net::SimTime now) const;
-
-  net::SimTime last_activity() const { return last_activity_; }
 
  private:
   net::SimTime last_activity_{-1'000'000'000};  // long idle at birth

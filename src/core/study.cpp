@@ -167,8 +167,7 @@ void Study::run() {
         .set(static_cast<double>(obs::read_peak_rss_bytes()));
 
     const obs::FlightRecorder::Dump dump = recorder.dump();
-    report_.profile = obs::build_profile(dump, util::profile_stall_factor(),
-                                         obs::read_peak_rss_bytes());
+    report_.profile = obs::build_profile(dump, obs::read_peak_rss_bytes());
     for (const std::string& label : report_.profile.stalled_labels()) {
       CURTAIN_WARN() << "stall watchdog: shard " << label << " exceeded "
                      << report_.profile.stall_factor

@@ -153,8 +153,10 @@ void World::build_hierarchy_and_research_zone() {
       research_apex_, kVantageLocation, net::Ipv4Addr{129, 105, 100, 53});
   measure::ResolverIdentifier::install_handler(research_adns);
 
-  // Reverse DNS: traceroute hop identification resolves in-addr.arpa PTRs
-  // published from the topology's IP index (every addressable node).
+  // Reverse DNS: in-addr.arpa PTRs published from the topology's IP index
+  // (every addressable node). Campaigns send no PTR query — traceroute hops
+  // carry their node names — but the zone's nodes are part of the world
+  // every later build step numbers from (dns/reverse.h).
   auto& reverse_zone = hierarchy_->create_zone(
       *dns::DnsName::parse("in-addr.arpa"), {38.9, -77.5},
       net::Ipv4Addr{198, 51, 100, 53});

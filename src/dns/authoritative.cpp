@@ -129,7 +129,6 @@ ServedResponse AuthoritativeServer::handle_query(const Message& query,
                                                  net::Ipv4Addr source_ip,
                                                  net::SimTime now,
                                                  net::Rng& rng) {
-  queries_served_.fetch_add(1, std::memory_order_relaxed);
   {
     // Handles re-bind whenever the thread's sheaf changes (obs/metrics.h).
     struct AdnsMetrics {

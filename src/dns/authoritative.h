@@ -10,7 +10,6 @@
 // resolvers can walk root → TLD → zone like the real hierarchy.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <optional>
@@ -56,10 +55,6 @@ class AuthoritativeServer : public DnsServer {
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 
-  uint64_t queries_served() const {
-    return queries_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Delegation {
     DnsName apex;
@@ -85,9 +80,6 @@ class AuthoritativeServer : public DnsServer {
   DynamicHandler dynamic_handler_;
   uint32_t dynamic_ttl_s_ = 30;
   ResourceRecord soa_rr_;
-  /// Atomic: authoritative servers are shared world state queried by
-  /// concurrent campaign shards.
-  std::atomic<uint64_t> queries_served_{0};
 };
 
 }  // namespace curtain::dns

@@ -75,21 +75,18 @@ void Cache::insert(const DnsName& name, RRType type,
   if (records.empty()) return;
   uint32_t ttl = UINT32_MAX;
   for (const auto& rr : records) ttl = std::min(ttl, rr.ttl);
-  // Uncacheable before the clamp: a min_ttl floor must not turn an
-  // authority's explicit "do not cache" (TTL 0) into a cached entry.
-  if (ttl == 0) return;
-  ttl = std::clamp(ttl, min_ttl_s_, max_ttl_s_);
-  if (ttl == 0) return;  // max_ttl of zero disables caching entirely
-  insert_entry(PooledRrset{name, type, scope, false, ttl, std::move(records)},
+  if (ttl == 0) return;  // an authority's explicit "do not cache"
+  insert_entry(PooledRrset{name, type, scope, false, std::min(ttl, kMaxTtlS),
+                           std::move(records)},
                now);
 }
 
 void Cache::insert_negative(const DnsName& name, RRType type, uint32_t ttl_s,
                             net::SimTime now, uint32_t scope) {
-  if (ttl_s == 0) return;  // same pre-clamp rule as positive entries
-  ttl_s = std::clamp(ttl_s, min_ttl_s_, max_ttl_s_);
-  if (ttl_s == 0) return;
-  insert_entry(PooledRrset{name, type, scope, true, ttl_s, {}}, now);
+  if (ttl_s == 0) return;  // same rule as positive entries
+  insert_entry(
+      PooledRrset{name, type, scope, true, std::min(ttl_s, kMaxTtlS), {}},
+      now);
 }
 
 void Cache::insert_entry(PooledRrset rrset, net::SimTime now) {
@@ -253,11 +250,6 @@ void Cache::rebuild_index(size_t buckets) {
   for (size_t pos = 0; pos < heap_.size(); ++pos) index_insert(pos);
 }
 
-void Cache::clear() {
-  heap_.clear();
-  index_.clear();
-}
-
 size_t Cache::approx_bytes() const {
   size_t bytes = 0;
   if (heap_.capacity() != 0) {
@@ -267,11 +259,6 @@ size_t Cache::approx_bytes() const {
     bytes += index_.capacity() * sizeof(uint32_t) + obs::kAllocOverheadBytes;
   }
   return bytes;
-}
-
-void Cache::set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s) {
-  min_ttl_s_ = min_ttl_s;
-  max_ttl_s_ = std::max(min_ttl_s, max_ttl_s);
 }
 
 }  // namespace curtain::dns

@@ -46,11 +46,6 @@ struct CacheStats {
   uint64_t misses = 0;
   uint64_t expired_evictions = 0;
   uint64_t capacity_evictions = 0;
-
-  double hit_rate() const {
-    const uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
 };
 
 /// A borrowed view of a cache hit: the pooled rrset plus this lane's
@@ -58,7 +53,7 @@ struct CacheStats {
 ///
 /// TTL aging (RFC 1035 §3.2.1) is carried as a single elapsed-seconds
 /// value instead of a re-written record copy; callers that need aged
-/// records materialize them with aged_records()/append_aged().
+/// records materialize them with append_aged().
 class CacheHit {
  public:
   bool negative() const { return rrset_->negative; }
@@ -81,12 +76,6 @@ class CacheHit {
       out.back().ttl = aged_ttl(rr.ttl);
     }
   }
-  /// Materializes an aged copy (the pre-view lookup() return value).
-  std::vector<ResourceRecord> aged_records() const {
-    std::vector<ResourceRecord> out;
-    append_aged(out);
-    return out;
-  }
 
  private:
   friend class Cache;
@@ -103,6 +92,9 @@ class Cache {
   /// Caches up to this size find keys by scanning slot tags; larger ones
   /// keep a hash index.
   static constexpr size_t kScanLimit = 32;
+  /// CDN-era resolvers honor short TTLs; entries are capped at a day like
+  /// common resolver software.
+  static constexpr uint32_t kMaxTtlS = 86400;
 
   /// A cache holding at most `max_entries` (0 caches nothing) that
   /// interns into `pool` — its owner's, shared by the owner's lane
@@ -118,19 +110,17 @@ class Cache {
   std::optional<CacheHit> lookup(const DnsName& name, RRType type,
                                  net::SimTime now, uint32_t scope = 0);
 
-  /// Inserts a positive rrset; entry TTL = min record TTL, clamped to
-  /// [min_ttl_, max_ttl_]. Zero-TTL rrsets are uncacheable (RFC 1035
-  /// §3.2.1) and are rejected *before* the clamp — a floor must not
-  /// launder "do not cache" into a cacheable TTL.
+  /// Inserts a positive rrset; entry TTL = min record TTL, capped at
+  /// kMaxTtlS. Zero-TTL rrsets are uncacheable (RFC 1035 §3.2.1).
   void insert(const DnsName& name, RRType type,
               std::vector<ResourceRecord> records, net::SimTime now,
               uint32_t scope = 0);
 
-  /// Inserts a negative entry with the given TTL (SOA minimum).
+  /// Inserts a negative entry with the given TTL (SOA minimum), under the
+  /// same zero rule and cap.
   void insert_negative(const DnsName& name, RRType type, uint32_t ttl_s,
                        net::SimTime now, uint32_t scope = 0);
 
-  void clear();
   size_t size() const { return heap_.size(); }
   const CacheStats& stats() const { return stats_; }
   /// The pool this cache interns into.
@@ -141,9 +131,6 @@ class Cache {
   /// owner. A profiling gauge (obs/memory.h) — counts capacities, not
   /// exact allocator accounting.
   size_t approx_bytes() const;
-
-  /// TTL clamps; exposed so tests can exercise the bounds.
-  void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s);
 
  private:
   friend struct CachePeer;  // tests: insertion-number wrap-around
@@ -186,8 +173,6 @@ class Cache {
   std::vector<Slot> heap_;
   std::vector<uint32_t> index_;
   size_t max_entries_;
-  uint32_t min_ttl_s_ = 0;
-  uint32_t max_ttl_s_ = 86400;
   uint32_t next_order_ = 0;
   CacheStats stats_;
 };

@@ -326,13 +326,6 @@ Message Message::make_response() const {
   return m;
 }
 
-const ResourceRecord* Message::first_answer(RRType type) const {
-  for (const auto& rr : answers) {
-    if (rr.type() == type) return &rr;
-  }
-  return nullptr;
-}
-
 std::vector<uint8_t> encode(const Message& message) {
   ByteWriter out;
   NameCompressor names;

@@ -80,14 +80,6 @@ struct Message {
   /// Response skeleton echoing this query's id and question.
   Message make_response() const;
 
-  /// First answer of the given type, or nullptr.
-  const ResourceRecord* first_answer(RRType type) const;
-
-  /// All A-record addresses in the answer section, in order.
-  std::vector<net::Ipv4Addr> answer_addresses() const {
-    return a_addresses(answers);
-  }
-
   bool operator==(const Message&) const = default;
 };
 

@@ -86,31 +86,20 @@ class RecursiveResolver : public DnsServer {
   /// Background-load model. Production resolvers serve whole subscriber
   /// populations, so a popular name is usually still cached when our
   /// measurement query arrives even though the fleet alone could never
-  /// keep it warm. With probability `p`, a cache miss is converted into a
-  /// hit by performing the recursion at zero observable cost (the fetch
-  /// "already happened" for another subscriber) and caching the outcome.
-  /// The residual (1-p) misses are what Fig. 7's ~20% tail shows.
-  /// `eligible` limits warming to names background users actually query
-  /// (measurement-unique names are never warm); empty = all names.
-  void set_warm_hit_probability(
-      double p, std::function<bool(const DnsName&)> eligible = {}) {
-    warm_hit_p_ = p;
-    warm_eligible_ = std::move(eligible);
-  }
-  double warm_hit_probability() const { return warm_hit_p_; }
-
-  /// TTL-aware background-load model: popular names are re-fetched by the
-  /// subscriber population on average every `mean_interarrival_s`, so a
-  /// measurement query finds the entry warm with probability
-  /// TTL / (TTL + interarrival) — short CDN TTLs miss more (Fig. 7, and
-  /// the bench/ablation_cdn_ttl sweep). Takes precedence over the fixed
-  /// probability when set.
+  /// keep it warm. Subscribers re-fetch each name on average every
+  /// `mean_interarrival_s`, so a cache miss on a name with TTL T is
+  /// converted into a hit with probability T / (T + interarrival): the
+  /// recursion runs at zero observable cost (the fetch "already happened"
+  /// for another subscriber) and its outcome is cached. Short CDN TTLs
+  /// miss more; the residual misses are Fig. 7's ~20% tail (and the
+  /// bench/ablation_cdn_ttl sweep). `eligible` limits warming to names
+  /// background users actually query (measurement-unique names are never
+  /// warm); empty = all names. ECS-scoped lookups never warm.
   void set_background_load(double mean_interarrival_s,
                            std::function<bool(const DnsName&)> eligible = {}) {
     bg_interarrival_s_ = mean_interarrival_s;
     warm_eligible_ = std::move(eligible);
   }
-  double background_interarrival_s() const { return bg_interarrival_s_; }
 
   /// Approximate heap bytes of the laned query-time state: allocated
   /// lanes, their cache slots, and the pooled content once. A profiling
@@ -152,12 +141,9 @@ class RecursiveResolver : public DnsServer {
 
   /// Mutable query-time state, one copy per state lane.
   struct LaneState {
-    /// CDN-era resolvers honor short TTLs; cap at a day like common
-    /// software. Every lane's cache interns into `pool`.
+    /// Every lane's cache interns into `pool`.
     explicit LaneState(std::shared_ptr<RrsetPool> pool = nullptr)
-        : cache(Cache::kDefaultMaxEntries, std::move(pool)) {
-      cache.set_ttl_bounds(0, 86400);
-    }
+        : cache(Cache::kDefaultMaxEntries, std::move(pool)) {}
     Cache cache;
     uint16_t next_query_id = 1;
     bool warming = false;  ///< reentrancy guard for the warm-hit path
@@ -175,7 +161,6 @@ class RecursiveResolver : public DnsServer {
   /// The one copy of the cached content all lanes' caches point into.
   std::shared_ptr<RrsetPool> pool_;
   mutable net::LaneTable<LaneState> lanes_;
-  double warm_hit_p_ = 0.0;
   double bg_interarrival_s_ = 0.0;
   bool ecs_enabled_ = false;
   uint8_t ecs_prefix_len_ = 24;

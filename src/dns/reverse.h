@@ -3,8 +3,12 @@
 // Measurement studies classify traceroute hops by resolving their PTR
 // records (hop 10.1.2.3 → "pgw-7.att.net" tells you whose router that
 // is). The world wires an in-addr.arpa zone whose PTR answers are derived
-// from the topology, so hop identification works the way it does in
-// practice. ProbeEngine's hop names are exactly these PTR names.
+// from the topology, so a PTR query for any addressable node answers the
+// way it would in practice. No campaign path sends one: ProbeEngine names
+// traceroute hops by their topology node names directly (measure/probes.h).
+// The zone stays because the world build consumes it — its server and the
+// "arpa" TLD are topology nodes, and removing them renumbers everything
+// built after and changes campaign results.
 #pragma once
 
 #include <optional>

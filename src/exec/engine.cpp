@@ -182,6 +182,22 @@ void CampaignEngine::run_pool() {
   for (auto& thread : threads) thread.join();
 }
 
+void CampaignEngine::merge_metrics() {
+  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
+  const bool profiling = recorder.enabled();
+  const int64_t start_us = profiling ? recorder.now_us() : 0;
+  for (auto& shard : shards_) {
+    obs::metrics().merge_snapshot(shard->sheaf().snapshot());
+  }
+  if (profiling) {
+    recorder.record_phase(0, "merge_metrics", start_us,
+                          recorder.now_us());
+    recorder.record_counter(0, "rss_mb", recorder.now_us(),
+                            static_cast<double>(obs::read_current_rss_bytes()) /
+                                (1024.0 * 1024.0));
+  }
+}
+
 void CampaignEngine::run(measure::RecordSink& sink) {
   run_pool();
 
@@ -217,17 +233,7 @@ void CampaignEngine::run(measure::RecordSink& sink) {
     recorder.record_phase(0, "merge_records", merge_records_start_us,
                           recorder.now_us());
   }
-  const int64_t merge_metrics_start_us = profiling ? recorder.now_us() : 0;
-  for (auto& shard : shards_) {
-    obs::metrics().merge_snapshot(shard->sheaf().snapshot());
-  }
-  if (profiling) {
-    recorder.record_phase(0, "merge_metrics", merge_metrics_start_us,
-                          recorder.now_us());
-    recorder.record_counter(0, "rss_mb", recorder.now_us(),
-                            static_cast<double>(obs::read_current_rss_bytes()) /
-                                (1024.0 * 1024.0));
-  }
+  merge_metrics();
 }
 
 void CampaignEngine::run_streaming(
@@ -240,20 +246,7 @@ void CampaignEngine::run_streaming(
     shards_[i]->stream_to(sinks[i]);
   }
   run_pool();
-
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
-  const bool profiling = recorder.enabled();
-  const int64_t merge_metrics_start_us = profiling ? recorder.now_us() : 0;
-  for (auto& shard : shards_) {
-    obs::metrics().merge_snapshot(shard->sheaf().snapshot());
-  }
-  if (profiling) {
-    recorder.record_phase(0, "merge_metrics", merge_metrics_start_us,
-                          recorder.now_us());
-    recorder.record_counter(0, "rss_mb", recorder.now_us(),
-                            static_cast<double>(obs::read_current_rss_bytes()) /
-                                (1024.0 * 1024.0));
-  }
+  merge_metrics();
 }
 
 }  // namespace curtain::exec

@@ -123,6 +123,9 @@ class CampaignEngine {
  private:
   /// The shared worker-pool execution (everything up to the join).
   void run_pool();
+  /// Merges shard metric sheaves into the calling thread's registry, in
+  /// shard order; profiled runs also record the phase and an rss_mb sample.
+  void merge_metrics();
 
   EngineConfig config_;
   int cohorts_ = 1;

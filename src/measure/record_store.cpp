@@ -52,23 +52,6 @@ void RecordStore::seal_if_full() {
   if (open_ && blocks_.back().rows >= block_rows_) seal_open();
 }
 
-void RecordStore::index_block_streams(const RecordBlock& block,
-                                      size_t block_index,
-                                      size_t first_experiment,
-                                      size_t first_trace,
-                                      size_t first_resolution) {
-  if (drain_ != nullptr) return;
-  if (!block.experiments.empty()) {
-    experiment_index_.emplace_back(first_experiment, block_index);
-  }
-  if (!block.traces.empty()) {
-    trace_index_.emplace_back(first_trace, block_index);
-  }
-  if (block.resolutions.size() != 0) {
-    resolution_index_.emplace_back(first_resolution, block_index);
-  }
-}
-
 uint32_t RecordStore::add_experiment(ExperimentContext context) {
   CURTAIN_CHECK(next_experiment_id_ !=
                 std::numeric_limits<uint32_t>::max())
@@ -87,11 +70,7 @@ uint32_t RecordStore::add_experiment(ExperimentContext context) {
 }
 
 void RecordStore::add_resolution(DnsMeasurement&& record) {
-  RecordBlock& block = open_block();
-  if (drain_ == nullptr && block.resolutions.size() == 0) {
-    resolution_index_.emplace_back(resolution_count_, blocks_.size() - 1);
-  }
-  block.append_resolution(record);
+  open_block().append_resolution(record);
   ++resolution_count_;
   seal_if_full();
 }
@@ -116,7 +95,6 @@ void RecordStore::add_observation(const ResolverObservation& record) {
 
 void RecordStore::add_vantage(const VantageProbe& record) {
   open_block().append_vantage(record);
-  ++vantage_count_;
   seal_if_full();
 }
 
@@ -124,11 +102,7 @@ int32_t RecordStore::add_trace(obs::ResolutionTrace&& trace) {
   CURTAIN_CHECK(next_trace_index_ != std::numeric_limits<int32_t>::max())
       << "trace index space exhausted";
   const int32_t index = next_trace_index_++;
-  RecordBlock& block = open_block();
-  if (drain_ == nullptr && block.traces.empty()) {
-    trace_index_.emplace_back(static_cast<size_t>(index), blocks_.size() - 1);
-  }
-  block.append_trace(std::move(trace));
+  open_block().append_trace(std::move(trace));
   ++trace_count_;
   seal_if_full();
   return index;
@@ -157,10 +131,10 @@ void RecordStore::consume(RecordBlock&& block) {
                 static_cast<size_t>(std::numeric_limits<int32_t>::max() -
                                     next_trace_index_))
       << "trace index space exhausted";
-  index_block_streams(block, blocks_.size(),
-                      static_cast<size_t>(next_experiment_id_),
-                      static_cast<size_t>(next_trace_index_),
-                      resolution_count_);
+  if (drain_ == nullptr && !block.experiments.empty()) {
+    experiment_index_.emplace_back(static_cast<size_t>(next_experiment_id_),
+                                   blocks_.size());
+  }
   next_experiment_id_ += static_cast<uint32_t>(block.experiments.size());
   next_trace_index_ += static_cast<int32_t>(block.traces.size());
   experiment_count_ += block.experiments.size();
@@ -168,7 +142,6 @@ void RecordStore::consume(RecordBlock&& block) {
   probe_count_ += block.probes.size();
   traceroute_count_ += block.traceroutes.size();
   observation_count_ += block.observations.size();
-  vantage_count_ += block.vantage_probes.size();
   trace_count_ += block.traces.size();
   if (drain_ != nullptr) {
     drain_->consume(std::move(block));
@@ -192,8 +165,6 @@ void RecordStore::drain_renumbered(RecordSink& sink, uint32_t experiment_base,
   }
   blocks_.clear();
   experiment_index_.clear();
-  trace_index_.clear();
-  resolution_index_.clear();
   open_ = false;
   next_experiment_id_ = 0;
   next_trace_index_ = 0;
@@ -202,7 +173,6 @@ void RecordStore::drain_renumbered(RecordSink& sink, uint32_t experiment_base,
   probe_count_ = 0;
   traceroute_count_ = 0;
   observation_count_ = 0;
-  vantage_count_ = 0;
   trace_count_ = 0;
 }
 
@@ -220,39 +190,10 @@ const ExperimentContext& RecordStore::context_of(
   return block.experiments[offset];
 }
 
-const obs::ResolutionTrace& RecordStore::trace_at(int32_t index) const {
-  CURTAIN_DCHECK(index >= 0 && index < next_trace_index_)
-      << "trace " << index << " of " << next_trace_index_;
-  CURTAIN_CHECK(drain_ == nullptr)
-      << "trace_at is unavailable on a draining store";
-  const size_t ordinal = static_cast<size_t>(index);
-  const size_t entry = owning_block(trace_index_, ordinal);
-  const auto& [base, block_index] = trace_index_[entry];
-  const RecordBlock& block = blocks_[block_index];
-  const size_t offset = ordinal - base;
-  CURTAIN_DCHECK(offset < block.traces.size()) << offset;
-  return block.traces[offset];
-}
-
-ResolutionRow RecordStore::resolution_at(size_t index) const {
-  CURTAIN_DCHECK(index < resolution_count_)
-      << "resolution " << index << " of " << resolution_count_;
-  CURTAIN_CHECK(drain_ == nullptr)
-      << "resolution_at is unavailable on a draining store";
-  const size_t entry = owning_block(resolution_index_, index);
-  const auto& [base, block_index] = resolution_index_[entry];
-  const RecordBlock& block = blocks_[block_index];
-  const size_t offset = index - base;
-  CURTAIN_DCHECK(offset < block.resolutions.size()) << offset;
-  return block.resolution_row(offset);
-}
-
 size_t RecordStore::approx_bytes() const {
   size_t bytes = blocks_.capacity() * sizeof(RecordBlock);
   for (const RecordBlock& block : blocks_) bytes += block.approx_bytes();
-  bytes += experiment_index_.capacity() * sizeof(experiment_index_[0]) +
-           trace_index_.capacity() * sizeof(trace_index_[0]) +
-           resolution_index_.capacity() * sizeof(resolution_index_[0]);
+  bytes += experiment_index_.capacity() * sizeof(experiment_index_[0]);
   return bytes;
 }
 

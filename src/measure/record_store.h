@@ -157,8 +157,8 @@ class RecordStore final : public RecordSink {
   // --- streaming --------------------------------------------------------
   /// Switches to draining mode: sealed blocks are forwarded to `sink` and
   /// freed instead of retained. Must be set before the first append.
-  /// Random access (context_of, trace_at, cursor ranges) is unavailable
-  /// while draining.
+  /// Random access (context_of, cursor ranges) is unavailable while
+  /// draining.
   void drain_to(RecordSink* sink);
   /// Seals the open block (forwarding it when draining). Call at
   /// end-of-stream; appending after a flush starts a fresh block.
@@ -183,10 +183,8 @@ class RecordStore final : public RecordSink {
   size_t probe_count() const { return probe_count_; }
   size_t traceroute_count() const { return traceroute_count_; }
   size_t observation_count() const { return observation_count_; }
-  size_t vantage_count() const { return vantage_count_; }
   size_t trace_count() const { return trace_count_; }
-  /// Totals the paper reports in §3.1 (for sanity reporting).
-  size_t total_resolutions() const { return resolution_count_; }
+  /// Total probes, as the paper reports in §3.1 (for sanity reporting).
   size_t total_probes() const { return probe_count_ + traceroute_count_; }
 
   // --- cursors (retained mode only) -------------------------------------
@@ -212,9 +210,6 @@ class RecordStore final : public RecordSink {
   /// Context of an experiment by id. O(log #blocks): ids are dense, so the
   /// row is found by binary search on per-block base ids.
   const ExperimentContext& context_of(uint32_t experiment_id) const;
-  const obs::ResolutionTrace& trace_at(int32_t index) const;
-  /// Resolution by global append index (random access for tests).
-  ResolutionRow resolution_at(size_t index) const;
 
   const std::vector<RecordBlock>& blocks() const { return blocks_; }
 
@@ -227,11 +222,6 @@ class RecordStore final : public RecordSink {
   RecordBlock& open_block();
   void seal_open();
   void seal_if_full();
-  /// Records that the open/incoming block carries stream rows starting at
-  /// the current global offsets (for the retained-mode random accessors).
-  void index_block_streams(const RecordBlock& block, size_t block_index,
-                           size_t first_experiment, size_t first_trace,
-                           size_t first_resolution);
 
   size_t block_rows_;
   RecordSink* drain_ = nullptr;
@@ -245,14 +235,11 @@ class RecordStore final : public RecordSink {
   size_t probe_count_ = 0;
   size_t traceroute_count_ = 0;
   size_t observation_count_ = 0;
-  size_t vantage_count_ = 0;
   size_t trace_count_ = 0;
 
-  /// Retained-mode random-access indexes: (first global ordinal, block
-  /// index), one entry per block that carries the stream.
+  /// Retained-mode index for context_of: (first experiment id, block
+  /// index), one entry per block that carries experiments.
   std::vector<std::pair<size_t, size_t>> experiment_index_;
-  std::vector<std::pair<size_t, size_t>> trace_index_;
-  std::vector<std::pair<size_t, size_t>> resolution_index_;
 };
 
 }  // namespace curtain::measure

@@ -74,15 +74,6 @@ class Rng {
   size_t weighted_index(const std::vector<double>& weights);
 
   template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (size_t i = v.size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(uniform_u64(0, i - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  template <typename T>
   const T& pick(const std::vector<T>& v) {
     CURTAIN_DCHECK(!v.empty()) << "pick from an empty vector";
     return v[static_cast<size_t>(uniform_u64(0, v.size() - 1))];

@@ -117,7 +117,6 @@ class Topology {
 
   const Zone& zone(ZoneId id) const { return zones_[id]; }
   const Node& node(NodeId id) const { return nodes_[id]; }
-  Node& mutable_node(NodeId id) { return nodes_[id]; }
   size_t node_count() const { return nodes_.size(); }
   size_t zone_count() const { return zones_.size(); }
   static constexpr ZoneId internet_zone() { return 0; }

@@ -149,10 +149,10 @@ void FlightRecorder::clear() {
 }
 
 RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
-                                 double stall_factor, size_t peak_rss_bytes) {
+                                 size_t peak_rss_bytes) {
   RunReport::Profile profile;
   profile.enabled = true;
-  profile.stall_factor = stall_factor;
+  profile.stall_factor = kStallFactor;
   profile.peak_rss_mb =
       static_cast<double>(peak_rss_bytes) / (1024.0 * 1024.0);
 
@@ -189,7 +189,7 @@ RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
   profile.median_shard_wall_ms = percentile(walls_ms, 50.0);
 
   // Stall watchdog: a shard is stalled when its wall per device exceeds
-  // stall_factor × the median over non-empty shards (and that median is
+  // kStallFactor × the median over non-empty shards (and that median is
   // meaningful at all), so fleet imbalance — 64 devices against 4 — is
   // not a stall.
   std::vector<double> per_device_ms(profile.shards.size(), 0.0);
@@ -200,7 +200,7 @@ RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
                        static_cast<double>(dump.shards[i].devices);
     nonempty_ms.push_back(per_device_ms[i]);
   }
-  const double threshold = stall_factor * percentile(nonempty_ms, 50.0);
+  const double threshold = kStallFactor * percentile(nonempty_ms, 50.0);
   for (size_t i = 0; i < profile.shards.size(); ++i) {
     profile.shards[i].stalled = threshold > 0.0 && per_device_ms[i] > threshold;
   }

@@ -135,11 +135,15 @@ class FlightRecorder {
   std::vector<ShardMeta> shards_;
 };
 
+/// The stall watchdog flags a shard whose wall per device exceeds this
+/// multiple of the non-empty shards' median.
+inline constexpr double kStallFactor = 4.0;
+
 /// Condenses a dump into the RunReport profile section: per-shard wall
 /// and queue-wait, queue-wait p50/p95, worker utilization %, the stall
-/// watchdog (wall per device over stall_factor × the non-empty shards'
+/// watchdog (wall per device over kStallFactor × the non-empty shards'
 /// median) and peak RSS (sampled by the caller via read_peak_rss_bytes()).
 RunReport::Profile build_profile(const FlightRecorder::Dump& dump,
-                                 double stall_factor, size_t peak_rss_bytes);
+                                 size_t peak_rss_bytes);
 
 }  // namespace curtain::obs

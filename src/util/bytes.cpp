@@ -1,7 +1,5 @@
 #include "util/bytes.h"
 
-#include <cstdio>
-
 namespace curtain::util {
 
 void ByteWriter::put_u8(uint8_t v) { buf_.push_back(v); }
@@ -91,17 +89,6 @@ void ByteReader::seek(size_t offset) {
     return;
   }
   offset_ = offset;
-}
-
-std::string hex_dump(std::span<const uint8_t> data) {
-  std::string out;
-  out.reserve(data.size() * 3);
-  char buf[4];
-  for (size_t i = 0; i < data.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), i == 0 ? "%02x" : " %02x", data[i]);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace curtain::util

@@ -72,7 +72,4 @@ class ByteReader {
   bool ok_ = true;
 };
 
-/// Hex dump ("de ad be ef") for diagnostics and golden tests.
-std::string hex_dump(std::span<const uint8_t> data);
-
 }  // namespace curtain::util

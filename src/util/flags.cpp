@@ -75,12 +75,6 @@ std::string metrics_out() { return env_string("CURTAIN_METRICS_OUT", ""); }
 
 std::string profile_out() { return env_string("CURTAIN_PROFILE_OUT", ""); }
 
-double profile_stall_factor() {
-  const double factor = env_double("CURTAIN_PROFILE_STALL_K", 4.0);
-  if (factor < 1.5) return 1.5;
-  return factor > 100.0 ? 100.0 : factor;
-}
-
 std::string log_flag() { return env_string("CURTAIN_LOG", ""); }
 
 std::string bench_csv_dir() {
@@ -114,9 +108,6 @@ std::vector<FlagInfo> describe_flags() {
   flags.push_back({"CURTAIN_PROFILE_OUT", "string", "\"\"", "-",
                    "flight-recorder chrome trace output file",
                    profile_out()});
-  flags.push_back({"CURTAIN_PROFILE_STALL_K", "double", "4", "[1.5, 100]",
-                   "stall watchdog threshold (multiple of median shard wall)",
-                   format_double(profile_stall_factor(), 2)});
   flags.push_back({"CURTAIN_LOG", "string", "\"\" (warn)",
                    "debug|info|warn|error|off", "log level", log_flag()});
   flags.push_back({"CURTAIN_BENCH_CSV_DIR", "string", "\"\"", "-",

@@ -71,11 +71,6 @@ std::string metrics_out();
 /// (obs/flight_recorder.h). Profiling never perturbs results.
 std::string profile_out();
 
-/// CURTAIN_PROFILE_STALL_K in [1.5, 100] (default 4): the stall
-/// watchdog flags shards slower than this multiple of the median shard
-/// wall in the run report.
-double profile_stall_factor();
-
 /// CURTAIN_LOG: log level (debug|info|warn|error|off); parsed by
 /// util::init_log_level_from_env (util/logging.h). Empty when unset.
 std::string log_flag();

@@ -21,14 +21,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   }
 }
 
-std::vector<std::string> split_nonempty(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  for (auto& part : split(s, delim)) {
-    if (!part.empty()) out.push_back(std::move(part));
-  }
-  return out;
-}
-
 std::string join(const std::vector<std::string>& parts, std::string_view delim) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -46,29 +38,8 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::optional<uint64_t> parse_u64(std::string_view s) {

@@ -14,26 +14,14 @@ namespace curtain::util {
 /// Splits `s` on `delim`, keeping empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Splits on `delim` and drops empty fields.
-std::vector<std::string> split_nonempty(std::string_view s, char delim);
-
 /// Joins `parts` with `delim` between consecutive elements.
 std::string join(const std::vector<std::string>& parts, std::string_view delim);
 
 /// Removes leading and trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 
-/// ASCII lowercase copy. DNS names compare case-insensitively (RFC 1035 §2.3.3).
-std::string to_lower(std::string_view s);
-
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-bool ends_with(std::string_view s, std::string_view suffix);
-
-/// Case-insensitive ASCII equality.
-bool iequals(std::string_view a, std::string_view b);
 
 /// Parses a non-negative integer; nullopt on any non-digit or overflow.
 std::optional<uint64_t> parse_u64(std::string_view s);

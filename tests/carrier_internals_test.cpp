@@ -28,7 +28,6 @@ TEST_F(CarrierInternalsTest, Slash24sBelongToOneSite) {
   // Every external /24 must be announced at exactly one location —
   // otherwise the CDN's per-/24 hints would be meaningless (Fig. 10).
   for (const auto& carrier : world_->carriers()) {
-    if (carrier->profile().dns.externals_collocated) continue;
     std::map<uint32_t, std::set<std::pair<int, int>>> locations;  // /24 -> {lat,lon}
     for (const auto& resolver : carrier->external_resolvers()) {
       const auto& node = world_->topology().node(resolver->node());

@@ -10,6 +10,24 @@
 namespace curtain::cellular {
 namespace {
 
+/// Every RadioTech enumerator, in declaration order.
+const std::vector<RadioTech>& all_radio_techs() {
+  static const std::vector<RadioTech> techs = {
+      RadioTech::kLte,   RadioTech::kHspap, RadioTech::kHsupa,
+      RadioTech::kHsdpa, RadioTech::kHspa,  RadioTech::kUmts,
+      RadioTech::kEhrpd, RadioTech::kEvdoA, RadioTech::kEdge,
+      RadioTech::kGprs,  RadioTech::kOneXRtt};
+  return techs;
+}
+
+/// The study carrier named `name`; nullptr if there is none.
+const CarrierProfile* find_carrier(const std::string& name) {
+  for (const auto& carrier : study_carriers()) {
+    if (carrier.name == name) return &carrier;
+  }
+  return nullptr;
+}
+
 // --- radio model ---------------------------------------------------------
 
 TEST(Radio, AllTechsHaveProfiles) {

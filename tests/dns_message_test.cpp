@@ -181,9 +181,9 @@ TEST(DnsMessage, BadRdlengthRejected) {
 
 TEST(DnsMessage, AnswerHelpers) {
   const Message r = sample_response();
-  ASSERT_NE(r.first_answer(RRType::kCNAME), nullptr);
-  EXPECT_EQ(r.first_answer(RRType::kSOA), nullptr);
-  const auto addrs = r.answer_addresses();
+  ASSERT_FALSE(r.answers.empty());
+  EXPECT_EQ(r.answers.front().type(), RRType::kCNAME);
+  const auto addrs = a_addresses(r.answers);
   ASSERT_EQ(addrs.size(), 2u);
   EXPECT_EQ(addrs[0], net::Ipv4Addr(20, 1, 2, 3));
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
@@ -106,7 +108,7 @@ TEST_F(DnsWorldTest, AuthAnswersStaticA) {
   EXPECT_EQ(response->header.rcode, Rcode::kNoError);
   EXPECT_TRUE(response->header.aa);
   ASSERT_EQ(response->answers.size(), 1u);
-  EXPECT_EQ(response->answer_addresses()[0], net::Ipv4Addr(50, 1, 1, 1));
+  EXPECT_EQ(a_addresses(response->answers)[0], net::Ipv4Addr(50, 1, 1, 1));
 }
 
 TEST_F(DnsWorldTest, AuthNxdomainCarriesSoa) {
@@ -348,8 +350,21 @@ TEST_F(DnsWorldTest, TtlZeroAnswersNeverCached) {
   EXPECT_FALSE(again.from_cache);  // TTL 0 was not cached
 }
 
+// --- background-load model ------------------------------------------------
+
+// A miss on a name with TTL T warms with probability T/(T+I); an
+// interarrival this small makes warming all but certain.
+constexpr double kAlwaysWarmInterarrivalS = 1e-6;
+// Lookups this far apart always find the previous entry expired (every
+// name these tests look up has TTL <= 600 s), so every lookup is a miss.
+constexpr double kLookupSpacingS = 601.0;
+
+net::SimTime lookup_time(int i) {
+  return net::SimTime::from_seconds(kLookupSpacingS * i);
+}
+
 TEST_F(DnsWorldTest, WarmHitProbabilityServesMissAsHit) {
-  resolver_->set_warm_hit_probability(1.0);
+  resolver_->set_background_load(kAlwaysWarmInterarrivalS);
   const auto result = resolver_->resolve(name("static.example.com"), RRType::kA,
                                          net::SimTime::zero(), rng_);
   EXPECT_TRUE(result.from_cache);
@@ -359,13 +374,78 @@ TEST_F(DnsWorldTest, WarmHitProbabilityServesMissAsHit) {
 
 TEST_F(DnsWorldTest, WarmEligibilityExcludesNames) {
   const DnsName research = name("curtain-study.net");
-  resolver_->set_warm_hit_probability(1.0, [research](const DnsName& n) {
-    return !n.is_within(research);
-  });
+  resolver_->set_background_load(
+      kAlwaysWarmInterarrivalS,
+      [research](const DnsName& n) { return !n.is_within(research); });
   const auto excluded = resolver_->resolve(name("r1.adns.curtain-study.net"),
                                            RRType::kA, net::SimTime::zero(),
                                            rng_);
   EXPECT_FALSE(excluded.from_cache);  // warming skipped, real iteration ran
+}
+
+TEST_F(DnsWorldTest, BackgroundLoadWarmShareFollowsTtl) {
+  // Every lookup is a miss the model decides: warm (served as a hit at no
+  // upstream cost) with probability T/(T+I), else a full recursion.
+  // Seeded, so the counts are fixed; the bounds say what any seed gives.
+  constexpr double kInterarrivalS = 200.0;
+  constexpr int kMisses = 2000;
+  resolver_->set_background_load(kInterarrivalS);
+  const auto expect_warm_share = [&](const char* qname, double ttl_s) {
+    SCOPED_TRACE(qname);
+    int warm = 0;
+    for (int i = 0; i < kMisses; ++i) {
+      const auto result =
+          resolver_->resolve(name(qname), RRType::kA, lookup_time(i), rng_);
+      ASSERT_FALSE(result.addresses().empty());
+      EXPECT_EQ(result.from_cache, result.upstream_queries == 0);
+      if (result.from_cache) ++warm;
+    }
+    // Within 4.5 binomial standard deviations of T/(T+I).
+    const double p = ttl_s / (ttl_s + kInterarrivalS);
+    const double sd = std::sqrt(kMisses * p * (1.0 - p));
+    EXPECT_NEAR(warm, kMisses * p, 4.5 * sd);
+  };
+  origin_->add_record(ResourceRecord::a(name("mid.example.com"),
+                                        net::Ipv4Addr{50, 1, 1, 2}, 120));
+  expect_warm_share("mid.example.com", 120.0);  // 120/320: 37.5% warm
+  expect_warm_share("edge.cdnzone.net", 30.0);  // CDN TTL: 30/230, ~13% warm
+  // The model reads T as min(300, answer TTLs) — 300 s being the TTL it
+  // assumes for empty answers — so a 600 s name warms like a 300 s one.
+  expect_warm_share("static.example.com", 300.0);  // 300/500: 60% warm
+}
+
+TEST_F(DnsWorldTest, BackgroundLoadNeverWarmsIneligibleNames) {
+  const DnsName cdn = name("cdnzone.net");
+  resolver_->set_background_load(
+      kAlwaysWarmInterarrivalS,
+      [cdn](const DnsName& n) { return !n.is_within(cdn); });
+  for (int i = 0; i < 50; ++i) {
+    const auto excluded = resolver_->resolve(name("edge.cdnzone.net"),
+                                             RRType::kA, lookup_time(i), rng_);
+    EXPECT_FALSE(excluded.from_cache) << "lookup " << i;
+    EXPECT_GT(excluded.upstream_queries, 0) << "lookup " << i;
+    const auto eligible = resolver_->resolve(name("static.example.com"),
+                                             RRType::kA, lookup_time(i), rng_);
+    EXPECT_TRUE(eligible.from_cache) << "lookup " << i;
+  }
+}
+
+TEST_F(DnsWorldTest, BackgroundLoadNeverWarmsEcsScopedLookups) {
+  // An ECS-scoped answer is specific to the client's subnet, which the
+  // background population does not share; the same name looked up
+  // without a client subnet still warms.
+  resolver_->enable_ecs();
+  resolver_->set_background_load(kAlwaysWarmInterarrivalS);
+  const net::Ipv4Addr client{100, 64, 3, 77};
+  for (int i = 0; i < 50; ++i) {
+    const auto scoped = resolver_->resolve(
+        name("static.example.com"), RRType::kA, lookup_time(i), rng_, client);
+    EXPECT_FALSE(scoped.from_cache) << "lookup " << i;
+    EXPECT_GT(scoped.upstream_queries, 0) << "lookup " << i;
+    const auto global = resolver_->resolve(name("static.example.com"),
+                                           RRType::kA, lookup_time(i), rng_);
+    EXPECT_TRUE(global.from_cache) << "lookup " << i;
+  }
 }
 
 TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
@@ -378,7 +458,7 @@ TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->header.ra);
   EXPECT_EQ(response->header.id, 321);
-  EXPECT_FALSE(response->answer_addresses().empty());
+  EXPECT_FALSE(a_addresses(response->answers).empty());
 }
 
 TEST_F(DnsWorldTest, UnknownTldServfails) {

@@ -53,11 +53,17 @@ TEST_F(StudyIntegrationTest, ObservabilityCountersPopulated) {
 // top-level spans partition the recorded resolution time exactly.
 TEST_F(StudyIntegrationTest, ResolutionTracesDecomposeLatency) {
   ASSERT_GT(data().trace_count(), 0u);
+  // Trace indexes number the traces in stream order across blocks.
+  std::vector<const obs::ResolutionTrace*> traces;
+  for (const auto& block : data().blocks()) {
+    for (const auto& trace : block.traces) traces.push_back(&trace);
+  }
+  ASSERT_EQ(traces.size(), data().trace_count());
   size_t checked = 0;
   for (const auto& row : data().resolutions()) {
     if (row.trace_index < 0) continue;
-    ASSERT_LT(static_cast<size_t>(row.trace_index), data().trace_count());
-    const auto& trace = data().trace_at(row.trace_index);
+    ASSERT_LT(static_cast<size_t>(row.trace_index), traces.size());
+    const auto& trace = *traces[static_cast<size_t>(row.trace_index)];
     ASSERT_GE(trace.spans.size(), 3u);
     EXPECT_NEAR(trace.top_level_ms(), row.resolution_ms, 1e-6);
     EXPECT_NEAR(trace.total_ms, row.resolution_ms, 1e-6);

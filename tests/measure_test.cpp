@@ -183,7 +183,11 @@ TEST_F(MeasurePipelineTest, TraceroutesRecorded) {
 }
 
 TEST_F(MeasurePipelineTest, VantageProbesCoverObservedResolvers) {
-  EXPECT_GT(study_->records().vantage_count(), 0u);
+  size_t vantage_probes = 0;
+  for (const auto& block : study_->records().blocks()) {
+    vantage_probes += block.vantage_probes.size();
+  }
+  EXPECT_GT(vantage_probes, 0u);
 }
 
 TEST_F(MeasurePipelineTest, DeterministicForSeed) {
@@ -194,9 +198,14 @@ TEST_F(MeasurePipelineTest, DeterministicForSeed) {
   const auto& b = replay.records();
   ASSERT_EQ(a.experiment_count(), b.experiment_count());
   ASSERT_EQ(a.resolution_count(), b.resolution_count());
-  for (size_t i = 0; i < a.resolution_count(); i += 97) {
-    EXPECT_DOUBLE_EQ(a.resolution_at(i).resolution_ms,
-                     b.resolution_at(i).resolution_ms);
+  // Walk both resolution streams in step; compare every 97th row.
+  auto replayed = b.resolutions().begin();
+  size_t i = 0;
+  for (const auto& row : a.resolutions()) {
+    if (i++ % 97 == 0) {
+      EXPECT_DOUBLE_EQ(row.resolution_ms, (*replayed).resolution_ms);
+    }
+    ++replayed;
   }
 }
 

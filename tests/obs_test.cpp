@@ -427,8 +427,7 @@ FlightRecorder::Dump synthetic_dump() {
 
 TEST_F(FlightRecorderTest, BuildProfileComputesWaitsUtilizationAndStalls) {
   const RunReport::Profile profile =
-      build_profile(synthetic_dump(), /*stall_factor=*/4.0,
-                    /*peak_rss_bytes=*/256u << 20);
+      build_profile(synthetic_dump(), /*peak_rss_bytes=*/256u << 20);
   EXPECT_TRUE(profile.enabled);
   ASSERT_EQ(profile.shards.size(), 4u);
   EXPECT_EQ(profile.shards[0].label, "A/cohort0");
@@ -475,7 +474,7 @@ TEST_F(FlightRecorderTest, StallWatchdogIgnoresFleetImbalance) {
   dump.records.push_back(span(1, 10'000, 170'000));
   dump.records.push_back(span(2, 170'000, 170'010));
   const RunReport::Profile profile =
-      build_profile(dump, /*stall_factor=*/4.0, /*peak_rss_bytes=*/0);
+      build_profile(dump, /*peak_rss_bytes=*/0);
   EXPECT_DOUBLE_EQ(profile.median_shard_wall_ms, 10.0);
   EXPECT_FALSE(profile.shards[1].stalled);
   EXPECT_TRUE(profile.stalled_labels().empty());
@@ -513,7 +512,7 @@ TEST_F(FlightRecorderTest, ReportAndJsonCarryConfigAndProfile) {
   report.config.workers = 2;
   report.config.cohorts = 2;
   report.config.shards = 4;
-  report.profile = build_profile(synthetic_dump(), 4.0, 64u << 20);
+  report.profile = build_profile(synthetic_dump(), 64u << 20);
   const std::string rendered = report.render();
   EXPECT_NE(rendered.find("workers=2"), std::string::npos);
   EXPECT_NE(rendered.find("B/cohort1"), std::string::npos);

@@ -132,15 +132,6 @@ TEST(Rng, WeightedIndexIgnoresNegativeWeights) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.weighted_index(weights), 1u);
 }
 
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(31);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7};
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
-}
-
 TEST(Rng, PickReturnsMember) {
   Rng rng(37);
   const std::vector<int> v{10, 20, 30};

@@ -17,22 +17,27 @@ class TopologyTest : public ::testing::Test {
     a_ = add_node("a", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 1});
     b_ = add_node("b", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 2});
     c_ = add_node("c", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 3});
-    g_ = add_node("g", cell_zone_, Ipv4Addr{10, 0, 0, 1});
+    Node gateway = make_node("g", cell_zone_, Ipv4Addr{10, 0, 0, 1});
+    gateway.kind = NodeKind::kGateway;
+    g_ = topo_.add_node(gateway);
     r_ = add_node("r", cell_zone_, Ipv4Addr{10, 0, 0, 53});
-    topo_.mutable_node(g_).kind = NodeKind::kGateway;
     topo_.add_link(a_, b_, LatencyModel::fixed(5.0));
     topo_.add_link(b_, c_, LatencyModel::fixed(7.0));
     topo_.add_link(b_, g_, LatencyModel::fixed(2.0));
     topo_.add_link(g_, r_, LatencyModel::fixed(1.0), 0.0, /*tunneled=*/true);
   }
 
-  NodeId add_node(const std::string& name, ZoneId zone, Ipv4Addr ip) {
+  static Node make_node(const std::string& name, ZoneId zone, Ipv4Addr ip) {
     Node node;
     node.name = name;
     node.zone = zone;
     node.ip = ip;
     node.processing = LatencyModel::fixed(0.0);
-    return topo_.add_node(node);
+    return node;
+  }
+
+  NodeId add_node(const std::string& name, ZoneId zone, Ipv4Addr ip) {
+    return topo_.add_node(make_node(name, zone, ip));
   }
 
   Topology topo_;
@@ -96,19 +101,31 @@ TEST_F(TopologyTest, PingWithinFirewalledZoneAllowed) {
 }
 
 TEST_F(TopologyTest, OwnerDirectionalPingPolicy) {
-  // r answers outsiders but not its own subscribers (Verizon pattern).
-  topo_.mutable_node(r_).owner_tag = 7;
-  topo_.mutable_node(r_).ping_from_same_owner = false;
-  topo_.mutable_node(r_).ping_from_other_owner = true;
-  topo_.mutable_node(g_).owner_tag = 7;
-  EXPECT_FALSE(topo_.ping(g_, r_, rng_).responded);
-  EXPECT_EQ(topo_.ping(g_, r_, rng_).failure,
+  // r7 answers outsiders but not its own subscribers (Verizon pattern);
+  // g7 is the gateway of one of those subscribers.
+  Node gateway = make_node("g7", cell_zone_, Ipv4Addr{10, 0, 0, 2});
+  gateway.kind = NodeKind::kGateway;
+  gateway.owner_tag = 7;
+  const NodeId g7 = topo_.add_node(gateway);
+  Node resolver = make_node("r7", cell_zone_, Ipv4Addr{10, 0, 0, 54});
+  resolver.owner_tag = 7;
+  resolver.ping_from_same_owner = false;
+  resolver.ping_from_other_owner = true;
+  const NodeId r7 = topo_.add_node(resolver);
+  topo_.add_link(b_, g7, LatencyModel::fixed(2.0));
+  topo_.add_link(g7, r7, LatencyModel::fixed(1.0), 0.0, /*tunneled=*/true);
+  EXPECT_FALSE(topo_.ping(g7, r7, rng_).responded);
+  EXPECT_EQ(topo_.ping(g7, r7, rng_).failure,
             PingResult::Failure::kUnresponsive);
-  // From outside, the zone firewall is the stronger barrier; move r to
-  // the open zone with a direct link to observe the flag in isolation.
-  topo_.mutable_node(r_).zone = Topology::internet_zone();
-  topo_.add_link(b_, r_, LatencyModel::fixed(1.0));
-  EXPECT_TRUE(topo_.ping(a_, r_, rng_).responded);
+  // From outside, the zone firewall is the stronger barrier; the same
+  // resolver in the open zone with a direct link shows the flag in
+  // isolation.
+  resolver.name = "r7-open";
+  resolver.zone = Topology::internet_zone();
+  resolver.ip = Ipv4Addr{1, 0, 0, 54};
+  const NodeId open = topo_.add_node(resolver);
+  topo_.add_link(b_, open, LatencyModel::fixed(1.0));
+  EXPECT_TRUE(topo_.ping(a_, open, rng_).responded);
 }
 
 TEST_F(TopologyTest, LossyLinkDropsPings) {
@@ -152,8 +169,14 @@ TEST_F(TopologyTest, TracerouteHidesTunneledInteriorHops) {
 }
 
 TEST_F(TopologyTest, TracerouteAnonymousHopForNonResponder) {
-  topo_.mutable_node(b_).responds_to_traceroute = false;
-  const TracerouteResult result = topo_.traceroute(a_, c_, rng_);
+  // a -- s -- d, where the router s does not answer traceroute.
+  Node silent = make_node("s", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 9});
+  silent.responds_to_traceroute = false;
+  const NodeId s = topo_.add_node(silent);
+  const NodeId d = add_node("d", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 10});
+  topo_.add_link(a_, s, LatencyModel::fixed(1.0));
+  topo_.add_link(s, d, LatencyModel::fixed(1.0));
+  const TracerouteResult result = topo_.traceroute(a_, d, rng_);
   ASSERT_EQ(result.hops.size(), 2u);
   EXPECT_EQ(result.hops[0].node, kInvalidNode);  // "* * *"
   EXPECT_FALSE(result.hops[0].responded);

@@ -28,11 +28,6 @@ TEST(Strings, SplitTrailingDelimiter) {
   EXPECT_EQ(split("a,b,", ','), (std::vector<std::string>{"a", "b", ""}));
 }
 
-TEST(Strings, SplitNonemptyDropsBlanks) {
-  EXPECT_EQ(split_nonempty(",a,,b,", ','),
-            (std::vector<std::string>{"a", "b"}));
-}
-
 TEST(Strings, JoinRoundTrip) {
   const std::vector<std::string> parts{"www", "example", "com"};
   EXPECT_EQ(join(parts, "."), "www.example.com");
@@ -50,20 +45,10 @@ TEST(Strings, TrimAllWhitespace) {
   EXPECT_EQ(trim(" \t\n "), "");
 }
 
-TEST(Strings, ToLowerAscii) {
-  EXPECT_EQ(to_lower("WwW.ExAmPle.COM"), "www.example.com");
-}
-
 TEST(Strings, StartsEndsWith) {
   EXPECT_TRUE(starts_with("AT&T-pgw-3", "AT&T"));
   EXPECT_FALSE(starts_with("pgw-AT&T", "AT&T"));
-  EXPECT_TRUE(ends_with("m.yelp.com", ".com"));
-  EXPECT_FALSE(ends_with("com", "m.yelp.com"));
-}
-
-TEST(Strings, IequalsCaseInsensitive) {
-  EXPECT_TRUE(iequals("LTE", "lte"));
-  EXPECT_FALSE(iequals("LTE", "lte2"));
+  EXPECT_FALSE(starts_with("AT", "AT&T"));
 }
 
 TEST(Strings, ParseU64Valid) {
@@ -144,11 +129,6 @@ TEST(Bytes, SeekWithinBoundsOk) {
   r.seek(2);
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.get_u8(), 3);
-}
-
-TEST(Bytes, HexDump) {
-  const std::vector<uint8_t> data{0xde, 0xad};
-  EXPECT_EQ(hex_dump(data), "de ad");
 }
 
 // --- csv ---------------------------------------------------------------
